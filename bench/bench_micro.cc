@@ -92,7 +92,7 @@ BENCHMARK(BM_RewriteDst);
 //
 // BM_CowFault keeps its original shape (the committed perf-trajectory
 // baseline); BM_CowFaultBatch is the flash-clone pipeline as PhysicalHost
-// drives it (MapSharedCowRun + FaultRange) in the density farm's metadata
+// drives it (BindBase + FaultRange) in the density farm's metadata
 // mode; the *Bytes/*Meta variants fill in the other two cells so the matrix
 // is complete. items = pages for all four, so per-item times and
 // items_per_second compare directly.
@@ -132,7 +132,7 @@ BENCHMARK(BM_CowFaultMeta);
 template <ContentMode kMode>
 void CowFaultBatchImpl(benchmark::State& state) {
   // A run of pending CoW faults resolved through the flash-clone pipeline:
-  // bind the image run with MapSharedCowRun, resolve every fault with one
+  // bind the image run with BindBase, resolve every fault with one
   // FaultRange call (one reservation, pooled buffers, bulk bookkeeping),
   // recycle with ReleaseAll.
   const uint32_t run = static_cast<uint32_t>(state.range(0));
@@ -144,7 +144,7 @@ void CowFaultBatchImpl(benchmark::State& state) {
   AddressSpace as(&alloc, run);
   for (auto _ : state) {
     as.ReleaseAll();
-    as.MapSharedCowRun(0, std::span<const FrameId>(frames));
+    as.BindBase(frames);
     benchmark::DoNotOptimize(as.FaultRange(0, run));
   }
   alloc.Unref(shared);
@@ -172,22 +172,58 @@ void BM_GuestWriteNoFault(benchmark::State& state) {
 }
 BENCHMARK(BM_GuestWriteNoFault);
 
+// Flash-clone set-up and teardown on a metadata-only host. A clone binds its
+// image generation in O(1), so both rows stay flat from 2,048 to 32,768 image
+// pages (CI checks the 32,768/2,048 ratio of each within one run).
+struct CloneBenchHost {
+  explicit CloneBenchHost(uint32_t num_pages) : host(Config()) {
+    ReferenceImageConfig image_config;
+    image_config.num_pages = num_pages;
+    image = host.RegisterImage(image_config);
+  }
+  static PhysicalHostConfig Config() {
+    PhysicalHostConfig config;
+    config.memory_mb = 8192;
+    config.content_mode = ContentMode::kMetadataOnly;
+    return config;
+  }
+  PhysicalHost host;
+  ImageId image = 0;
+};
+
 void BM_FlashCloneMechanics(benchmark::State& state) {
-  PhysicalHostConfig config;
-  config.memory_mb = 8192;
-  config.content_mode = ContentMode::kMetadataOnly;
-  PhysicalHost host(config);
-  ReferenceImageConfig image_config;
-  image_config.num_pages = static_cast<uint32_t>(state.range(0));
-  const ImageId image = host.RegisterImage(image_config);
+  // CreateClone alone; clones are destroyed in untimed batches.
+  CloneBenchHost bench(static_cast<uint32_t>(state.range(0)));
+  std::vector<VmId> live;
+  live.reserve(256);
   for (auto _ : state) {
-    VirtualMachine* vm = host.CreateClone(image, CloneKind::kFlash, "b");
+    VirtualMachine* vm = bench.host.CreateClone(bench.image, CloneKind::kFlash, "b");
     benchmark::DoNotOptimize(vm);
-    host.DestroyVm(vm->id());
+    live.push_back(vm->id());
+    if (live.size() == 256) {
+      state.PauseTiming();
+      for (const VmId id : live) {
+        bench.host.DestroyVm(id);
+      }
+      live.clear();
+      state.ResumeTiming();
+    }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_FlashCloneMechanics)->Arg(2048)->Arg(8192)->Arg(32768);
+
+void BM_CloneTeardown(benchmark::State& state) {
+  // One clone's whole lifetime: CreateClone + DestroyVm.
+  CloneBenchHost bench(static_cast<uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    VirtualMachine* vm = bench.host.CreateClone(bench.image, CloneKind::kFlash, "b");
+    benchmark::DoNotOptimize(vm);
+    bench.host.DestroyVm(vm->id());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_CloneTeardown)->Arg(2048)->Arg(8192)->Arg(32768);
 
 void BM_FlowTableRecord(benchmark::State& state) {
   FlowTable table(Duration::Seconds(60), 1 << 20);

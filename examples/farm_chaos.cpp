@@ -120,11 +120,8 @@ int main(int argc, char** argv) {
 
   const ChaosReport report = harness.report();
   const Controller::Stats& stats = controller.stats();
-  uint64_t escapes = 0;
-  for (uint32_t s = 0; s < farm.sharded_gateway().shard_count(); ++s) {
-    escapes +=
-        farm.sharded_gateway().shard(s).containment().stats().escapes_from_infected;
-  }
+  const uint64_t escapes =
+      farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected;
 
   std::printf("\n--- chaos post-mortem ---\n");
   std::printf("faults injected:  %llu (healed %llu)\n",

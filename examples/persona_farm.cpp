@@ -452,11 +452,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  uint64_t allowlist_escapes = 0;
-  for (uint32_t s = 0; s < farm.sharded_gateway().shard_count(); ++s) {
-    allowlist_escapes +=
-        farm.sharded_gateway().shard(s).containment().stats().escapes_from_infected;
-  }
+  const uint64_t allowlist_escapes =
+      farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected;
 
   std::printf("\n--- persona post-mortem ---\n");
   std::printf("sessions: ");

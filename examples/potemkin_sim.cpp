@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
 
   // ---- Report ----
   const GatewayStats& g = farm.gateway().stats();
-  const ContainmentStats& c = farm.gateway().containment().stats();
+  const ContainmentStats c = farm.sharded_gateway().AggregateContainmentStats();
   std::printf("\n---- gateway ----\n");
   Table gw({"metric", "count"});
   gw.AddRow({"inbound packets", WithCommas(g.inbound_packets)});

@@ -90,7 +90,8 @@ int main(int argc, char** argv) {
   for (TimePoint t = TimePoint() + tick; t <= TimePoint() + Duration::Minutes(minutes);
        t += tick) {
     farm.RunUntil(t);
-    const auto& containment = farm.gateway().containment().stats();
+    const ContainmentStats containment =
+        farm.sharded_gateway().AggregateContainmentStats();
     std::printf("[%5.0fs] infected=%-4llu live VMs=%-5llu scans=%-7llu "
                 "reflected=%-7llu escapes=%llu\n",
                 t.seconds(),
@@ -112,7 +113,7 @@ int main(int argc, char** argv) {
   if (events.size() > show) {
     std::printf("  ... and %zu more\n", events.size() - show);
   }
-  const auto& c = farm.gateway().containment().stats();
+  const ContainmentStats c = farm.sharded_gateway().AggregateContainmentStats();
   std::printf("\ncontainment verdict: %llu packets from infected VMs reached the "
               "real Internet (%s)\n",
               static_cast<unsigned long long>(c.escapes_from_infected),

@@ -545,6 +545,22 @@ GatewayStats ShardedGateway::AggregateStats() const {
   return total;
 }
 
+ContainmentStats ShardedGateway::AggregateContainmentStats() const {
+  ContainmentStats total;
+  for (const auto& shard : shards_) {
+    const ContainmentStats& s = shard->containment().stats();
+    total.allowed += s.allowed;
+    total.dropped += s.dropped;
+    total.reflected += s.reflected;
+    total.rate_limited += s.rate_limited;
+    total.dns_proxied += s.dns_proxied;
+    total.internal += s.internal;
+    total.allow_list_hits += s.allow_list_hits;
+    total.escapes_from_infected += s.escapes_from_infected;
+  }
+  return total;
+}
+
 size_t ShardedGateway::live_bindings() const {
   size_t total = 0;
   for (const auto& shard : shards_) {

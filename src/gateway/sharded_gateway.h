@@ -184,6 +184,8 @@ class ShardedGateway {
   // ---- Telemetry ----
   // Field-wise sum of every shard's GatewayStats.
   GatewayStats AggregateStats() const;
+  // Field-wise sum of every shard's ContainmentStats: the farm-wide verdict.
+  ContainmentStats AggregateContainmentStats() const;
   // Farm-wide live binding count (what FarmSample reports).
   size_t live_bindings() const;
 

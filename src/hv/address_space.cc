@@ -8,48 +8,62 @@ namespace potemkin {
 
 AddressSpace::AddressSpace(FrameAllocator* allocator, uint32_t num_pages)
     : allocator_(allocator),
-      ptes_(num_pages),
+      num_pages_(num_pages),
+      leaves_((num_pages + kLeafPages - 1) / kLeafPages),
       track_dirty_(allocator->mode() == ContentMode::kStoreBytes) {}
 
 AddressSpace::~AddressSpace() { ReleaseAll(); }
 
+void AddressSpace::MaterializeLeaf(uint32_t index) {
+  auto leaf = std::make_unique_for_overwrite<Leaf>();
+  const Gpfn first = index << kLeafShift;
+  const uint32_t borrowed =
+      base_.empty() ? 0 : std::min(kLeafPages, num_pages_ - first);
+  for (uint32_t i = 0; i < borrowed; ++i) {
+    leaf->ptes[i] = SharedPte(base_[first + i], /*borrowed=*/true);
+  }
+  std::fill(leaf->ptes + borrowed, leaf->ptes + kLeafPages, Pte{});
+  leaves_[index] = std::move(leaf);
+}
+
+void AddressSpace::BindBase(std::span<const FrameId> frames) {
+  PK_CHECK(frames.size() == num_pages_) << "base must cover the address space";
+  PK_CHECK(base_.empty() && shared_pages_ == 0 && private_pages_ == 0)
+      << "base bind over live mappings";
+  // Any leaves left are all-unmapped; drop them so every page reads the base.
+  for (std::unique_ptr<Leaf>& leaf : leaves_) {
+    leaf.reset();
+  }
+  dirty_pages_.clear();
+  base_ = frames;
+  shared_pages_ = num_pages_;
+}
+
 void AddressSpace::MapSharedCow(Gpfn gpfn, FrameId frame) {
-  PK_CHECK(gpfn < ptes_.size()) << "map outside address space";
+  PK_CHECK(gpfn < num_pages_) << "map outside address space";
   Unmap(gpfn);
   allocator_->Ref(frame);
-  ptes_[gpfn] = Pte{frame, true, true};
+  MutablePte(gpfn) = SharedPte(frame, /*borrowed=*/false);
   ++shared_pages_;
 }
 
-void AddressSpace::MapSharedCowRun(Gpfn first_gpfn,
-                                   std::span<const FrameId> frames) {
-  const uint32_t count = static_cast<uint32_t>(frames.size());
-  PK_CHECK(first_gpfn + count <= ptes_.size()) << "run maps outside address space";
-  for (uint32_t i = 0; i < count; ++i) {
-    Pte& pte = ptes_[first_gpfn + i];
-    PK_CHECK(!pte.present) << "run map over live mapping";
-    allocator_->Ref(frames[i]);
-    pte = Pte{frames[i], true, true};
-  }
-  shared_pages_ += count;
-}
-
 void AddressSpace::MapPrivateOwned(Gpfn gpfn, FrameId frame) {
-  PK_CHECK(gpfn < ptes_.size()) << "map outside address space";
+  PK_CHECK(gpfn < num_pages_) << "map outside address space";
   Unmap(gpfn);
-  ptes_[gpfn] = Pte{frame, true, false};
+  Pte& pte = MutablePte(gpfn);
+  pte = PrivatePte(frame);
   ++private_pages_;
   if (track_dirty_) {
-    MarkDirty(gpfn);  // new private content this address space has not exposed yet
+    MarkDirty(gpfn, pte);  // new private content this address space has not exposed yet
   }
 }
 
 void AddressSpace::Unmap(Gpfn gpfn) {
-  PK_CHECK(gpfn < ptes_.size()) << "unmap outside address space";
-  Pte& pte = ptes_[gpfn];
-  if (!pte.present) {
+  PK_CHECK(gpfn < num_pages_) << "unmap outside address space";
+  if (!PteAt(gpfn).present) {
     return;
   }
+  Pte& pte = MutablePte(gpfn);
   if (pte.cow) {
     PK_CHECK(shared_pages_ > 0);
     --shared_pages_;
@@ -57,12 +71,14 @@ void AddressSpace::Unmap(Gpfn gpfn) {
     PK_CHECK(private_pages_ > 0);
     --private_pages_;
   }
-  allocator_->Unref(pte.frame);
+  if (!pte.borrowed) {
+    allocator_->Unref(pte.frame);
+  }
   pte = Pte{};
 }
 
-bool AddressSpace::MakeWritable(Gpfn gpfn, MemAccessResult* result) {
-  Pte& pte = ptes_[gpfn];
+AddressSpace::Pte* AddressSpace::MakeWritable(Gpfn gpfn, MemAccessResult* result) {
+  Pte& pte = MutablePte(gpfn);
   if (pte.present && !pte.cow) {
     if (pte.prefetched) {
       // First real guest write to a speculatively materialised page: the
@@ -70,7 +86,7 @@ bool AddressSpace::MakeWritable(Gpfn gpfn, MemAccessResult* result) {
       pte.prefetched = false;
       ++stats_.prefetch_hits;
     }
-    return true;
+    return &pte;
   }
   if (!pte.present) {
     // Zero-fill-on-demand private page.
@@ -78,35 +94,38 @@ bool AddressSpace::MakeWritable(Gpfn gpfn, MemAccessResult* result) {
     if (frame == kInvalidFrame) {
       ++stats_.failed_cow_breaks;
       *result = MemAccessResult::kOutOfMemory;
-      return false;
+      return nullptr;
     }
-    pte = Pte{frame, true, false};
+    pte = PrivatePte(frame);
     ++private_pages_;
     ++stats_.zero_fills;
     RecordTouch(gpfn);
-    return true;
+    return &pte;
   }
-  // CoW break: copy the shared frame into a private one.
+  // CoW break: copy the shared frame into a private one. A borrowed source is
+  // held by the bound generation, not by this address space.
   const FrameId copy = allocator_->CloneFrame(pte.frame);
   if (copy == kInvalidFrame) {
     ++stats_.failed_cow_breaks;
     *result = MemAccessResult::kOutOfMemory;
-    return false;
+    return nullptr;
   }
-  allocator_->Unref(pte.frame);
+  if (!pte.borrowed) {
+    allocator_->Unref(pte.frame);
+  }
   PK_CHECK(shared_pages_ > 0);
   --shared_pages_;
-  pte = Pte{copy, true, false};
+  pte = PrivatePte(copy);
   ++private_pages_;
   ++stats_.cow_faults;
   RecordTouch(gpfn);
   *result = MemAccessResult::kCowBreak;
-  return true;
+  return &pte;
 }
 
 MemAccessResult AddressSpace::FaultRangeInternal(Gpfn first_gpfn, uint32_t count,
                                                  bool prefetch) {
-  if (first_gpfn + count > ptes_.size()) {
+  if (first_gpfn + count > num_pages_) {
     return MemAccessResult::kBadAddress;
   }
   ++stats_.batch_faults;
@@ -116,7 +135,7 @@ MemAccessResult AddressSpace::FaultRangeInternal(Gpfn first_gpfn, uint32_t count
   scratch_cow_src_.clear();
   scratch_zf_gpfns_.clear();
   for (uint32_t i = 0; i < count; ++i) {
-    const Pte& pte = ptes_[first_gpfn + i];
+    const Pte pte = PteAt(first_gpfn + i);
     if (pte.present && !pte.cow) {
       continue;
     }
@@ -152,36 +171,38 @@ MemAccessResult AddressSpace::FaultRangeInternal(Gpfn first_gpfn, uint32_t count
     ++stats_.failed_cow_breaks;
     return MemAccessResult::kOutOfMemory;
   }
-  // Pass 3: flip the PTEs and settle bookkeeping once for the run. The old
-  // shared frames drop their references as a batch.
+  // Pass 3: flip the PTEs and settle bookkeeping once for the run. Explicitly
+  // shared sources drop the reference this address space held; borrowed ones
+  // stay with the bound generation.
   for (uint32_t i = 0; i < cow_count; ++i) {
-    Pte& pte = ptes_[scratch_cow_gpfns_[i]];
+    Pte& pte = MutablePte(scratch_cow_gpfns_[i]);
+    if (!pte.borrowed) {
+      allocator_->Unref(pte.frame);
+    }
     pte.frame = scratch_cow_new_[i];
     pte.cow = false;
+    pte.borrowed = false;
     pte.prefetched = prefetch;
     if (track_dirty_) {
-      MarkDirty(scratch_cow_gpfns_[i]);
+      MarkDirty(scratch_cow_gpfns_[i], pte);
     }
     if (!prefetch) {
       RecordTouch(scratch_cow_gpfns_[i]);
     }
   }
   for (uint32_t i = 0; i < zf_count; ++i) {
-    Pte& pte = ptes_[scratch_zf_gpfns_[i]];
-    pte = Pte{scratch_zf_new_[i], true, false};
+    Pte& pte = MutablePte(scratch_zf_gpfns_[i]);
+    pte = PrivatePte(scratch_zf_new_[i]);
     pte.prefetched = prefetch;
     if (track_dirty_) {
-      MarkDirty(scratch_zf_gpfns_[i]);
+      MarkDirty(scratch_zf_gpfns_[i], pte);
     }
     if (!prefetch) {
       RecordTouch(scratch_zf_gpfns_[i]);
     }
   }
-  if (cow_count > 0) {
-    allocator_->UnrefBatch(scratch_cow_src_);
-    PK_CHECK(shared_pages_ >= cow_count);
-    shared_pages_ -= cow_count;
-  }
+  PK_CHECK(shared_pages_ >= cow_count);
+  shared_pages_ -= cow_count;
   private_pages_ += cow_count + zf_count;
   stats_.cow_faults += cow_count;
   stats_.zero_fills += zf_count;
@@ -212,13 +233,14 @@ MemAccessResult AddressSpace::WriteGuest(uint64_t gpaddr,
     const Gpfn gpfn = static_cast<Gpfn>(addr / kPageSize);
     const size_t offset = addr % kPageSize;
     const size_t chunk = std::min(bytes.size() - written, kPageSize - offset);
-    if (!MakeWritable(gpfn, &result)) {
+    Pte* pte = MakeWritable(gpfn, &result);
+    if (pte == nullptr) {
       return result;  // kOutOfMemory
     }
     if (track_dirty_) {
-      MarkDirty(gpfn);
+      MarkDirty(gpfn, *pte);
     }
-    allocator_->Write(ptes_[gpfn].frame, offset, bytes.subspan(written, chunk));
+    allocator_->Write(pte->frame, offset, bytes.subspan(written, chunk));
     written += chunk;
   }
   return result;
@@ -235,7 +257,7 @@ MemAccessResult AddressSpace::ReadGuest(uint64_t gpaddr, std::span<uint8_t> out)
     const Gpfn gpfn = static_cast<Gpfn>(addr / kPageSize);
     const size_t offset = addr % kPageSize;
     const size_t chunk = std::min(out.size() - done, kPageSize - offset);
-    const Pte& pte = ptes_[gpfn];
+    const Pte pte = PteAt(gpfn);
     if (!pte.present) {
       std::fill_n(out.data() + done, chunk, 0);
     } else {
@@ -249,7 +271,7 @@ MemAccessResult AddressSpace::ReadGuest(uint64_t gpaddr, std::span<uint8_t> out)
 MemAccessResult AddressSpace::TouchPages(Gpfn first_gpfn, uint32_t count) {
   for (uint32_t i = 0; i < count; ++i) {
     const Gpfn gpfn = first_gpfn + i;
-    if (gpfn >= ptes_.size()) {
+    if (gpfn >= num_pages_) {
       return MemAccessResult::kBadAddress;
     }
     const uint8_t marker = static_cast<uint8_t>(0xd1 + i);
@@ -263,7 +285,7 @@ MemAccessResult AddressSpace::TouchPages(Gpfn first_gpfn, uint32_t count) {
 }
 
 MemAccessResult AddressSpace::TouchPagesBatched(Gpfn first_gpfn, uint32_t count) {
-  if (first_gpfn + count > ptes_.size()) {
+  if (first_gpfn + count > num_pages_) {
     return MemAccessResult::kBadAddress;
   }
   const MemAccessResult faulted = FaultRange(first_gpfn, count);
@@ -276,13 +298,13 @@ MemAccessResult AddressSpace::TouchPagesBatched(Gpfn first_gpfn, uint32_t count)
     const Gpfn gpfn = first_gpfn + i;
     const uint8_t marker = static_cast<uint8_t>(0xd1 + i);
     ++stats_.writes;
-    Pte& pte = ptes_[gpfn];
+    Pte& pte = MutablePte(gpfn);
     if (pte.prefetched) {
       pte.prefetched = false;
       ++stats_.prefetch_hits;
     }
     if (track_dirty_) {
-      MarkDirty(gpfn);
+      MarkDirty(gpfn, pte);
     }
     allocator_->Write(pte.frame, 0, std::span(&marker, 1));
   }
@@ -290,20 +312,37 @@ MemAccessResult AddressSpace::TouchPagesBatched(Gpfn first_gpfn, uint32_t count)
 }
 
 bool AddressSpace::IsMapped(Gpfn gpfn) const {
-  return gpfn < ptes_.size() && ptes_[gpfn].present;
+  return gpfn < num_pages_ && PteAt(gpfn).present;
 }
 
 bool AddressSpace::IsCowShared(Gpfn gpfn) const {
-  return gpfn < ptes_.size() && ptes_[gpfn].present && ptes_[gpfn].cow;
+  if (gpfn >= num_pages_) {
+    return false;
+  }
+  const Pte pte = PteAt(gpfn);
+  return pte.present && pte.cow;
+}
+
+bool AddressSpace::IsBaseShare(Gpfn gpfn) const {
+  return gpfn < num_pages_ && PteAt(gpfn).borrowed;
 }
 
 FrameId AddressSpace::FrameAt(Gpfn gpfn) const {
-  PK_CHECK(gpfn < ptes_.size()) << "FrameAt outside address space";
-  return ptes_[gpfn].present ? ptes_[gpfn].frame : kInvalidFrame;
+  PK_CHECK(gpfn < num_pages_) << "FrameAt outside address space";
+  const Pte pte = PteAt(gpfn);
+  return pte.present ? pte.frame : kInvalidFrame;
+}
+
+uint32_t AddressSpace::materialized_leaves() const {
+  uint32_t count = 0;
+  for (const std::unique_ptr<Leaf>& leaf : leaves_) {
+    count += leaf != nullptr ? 1 : 0;
+  }
+  return count;
 }
 
 void AddressSpace::ConvertPrivateToSharedCow(Gpfn gpfn, FrameId frame) {
-  PK_CHECK(gpfn < ptes_.size() && ptes_[gpfn].present && !ptes_[gpfn].cow)
+  PK_CHECK(gpfn < num_pages_ && PteAt(gpfn).present && !PteAt(gpfn).cow)
       << "convert of non-private page";
   MapSharedCow(gpfn, frame);  // Unmaps (releasing the private frame) then shares.
 }
@@ -312,19 +351,27 @@ void AddressSpace::MarkAllPrivateDirty() {
   if (!track_dirty_) {
     return;
   }
-  for (Gpfn gpfn = 0; gpfn < ptes_.size(); ++gpfn) {
-    if (ptes_[gpfn].present && !ptes_[gpfn].cow) {
-      MarkDirty(gpfn);
-    }
-  }
+  ForEachPrivatePage(
+      [this](Gpfn gpfn, FrameId) { MarkDirty(gpfn, MutablePte(gpfn)); });
 }
 
 void AddressSpace::ReleaseAll() {
-  for (Gpfn gpfn = 0; gpfn < ptes_.size(); ++gpfn) {
-    if (ptes_[gpfn].present) {
-      Unmap(gpfn);
+  // Unmaterialised leaves hold only borrowed shares: nothing to drop there.
+  for (std::unique_ptr<Leaf>& leaf : leaves_) {
+    if (leaf == nullptr) {
+      continue;
     }
+    for (const Pte& pte : leaf->ptes) {
+      if (pte.present && !pte.borrowed) {
+        allocator_->Unref(pte.frame);
+      }
+    }
+    leaf.reset();
   }
+  base_ = {};
+  shared_pages_ = 0;
+  private_pages_ = 0;
+  dirty_pages_.clear();
 }
 
 }  // namespace potemkin

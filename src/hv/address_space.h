@@ -6,6 +6,16 @@
 // allocated, the contents copied, and the mapping flipped to writable. The set of
 // private frames is the VM's "delta" — the only per-VM memory cost.
 //
+// The page table is two-level: a directory of 512-PTE leaves, each allocated on
+// the first mutation inside its range. A flash clone *binds* its pinned image
+// generation's frame list (`BindBase`) in O(1) and takes no per-frame
+// reference: a page in an unmaterialised leaf reads as a CoW share of the bound
+// frame. Materialising a leaf copies the frame ids in, marked *borrowed*; a
+// borrowed share is backed by the generation's own reference, so breaking it
+// never drops the source and teardown skips it. Clone set-up and teardown thus
+// cost what the clone changed, not the size of its image. Explicit shares
+// (`MapSharedCow`, dedup merges) still take a real reference each.
+//
 // Faults resolve one page at a time (`WriteGuest`/`TouchPages`) or as a run
 // (`FaultRange`): the run path classifies the whole range in one scan, takes a
 // single all-or-nothing allocator reservation for every CoW break and zero
@@ -17,6 +27,7 @@
 #define SRC_HV_ADDRESS_SPACE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -45,6 +56,10 @@ struct AddressSpaceStats {
 
 class AddressSpace {
  public:
+  // PTEs per leaf table.
+  static constexpr uint32_t kLeafShift = 9;
+  static constexpr uint32_t kLeafPages = 1u << kLeafShift;
+
   // An address space with `num_pages` guest pages, all initially unmapped (reads
   // see zeros; first write allocates a private zero frame).
   AddressSpace(FrameAllocator* allocator, uint32_t num_pages);
@@ -52,16 +67,17 @@ class AddressSpace {
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
 
-  uint32_t num_pages() const { return static_cast<uint32_t>(ptes_.size()); }
+  uint32_t num_pages() const { return num_pages_; }
   uint64_t size_bytes() const { return static_cast<uint64_t>(num_pages()) * kPageSize; }
 
+  // Flash-clone binding: every page becomes a borrowed CoW share of
+  // frames[gpfn], in O(1) and without taking references. `frames` must cover
+  // the address space, every page must be unmapped, and the frames (and the
+  // span's storage) must stay live until ReleaseAll — PhysicalHost guarantees
+  // both by pinning the image generation for the clone's lifetime.
+  void BindBase(std::span<const FrameId> frames);
   // Maps `frame` at `gpfn` as a read-only CoW share; takes a reference.
   void MapSharedCow(Gpfn gpfn, FrameId frame);
-  // Flash-clone fast path: maps pages [first_gpfn, first_gpfn + frames.size())
-  // as CoW shares of frames[i] in one pass. Pages must be unmapped (this is the
-  // initial image binding, not a remap); the share count is adjusted once for
-  // the whole run.
-  void MapSharedCowRun(Gpfn first_gpfn, std::span<const FrameId> frames);
   // Maps `frame` at `gpfn` as private/writable; takes ownership of one reference.
   void MapPrivateOwned(Gpfn gpfn, FrameId frame);
   void Unmap(Gpfn gpfn);
@@ -95,7 +111,12 @@ class AddressSpace {
 
   bool IsMapped(Gpfn gpfn) const;
   bool IsCowShared(Gpfn gpfn) const;
+  // True if `gpfn` is a borrowed share of the bound base (no reference held).
+  bool IsBaseShare(Gpfn gpfn) const;
   FrameId FrameAt(Gpfn gpfn) const;
+
+  // Leaf tables allocated so far (the page-table part of the clone's delta).
+  uint32_t materialized_leaves() const;
 
   // Number of pages whose frame is private to this address space (the delta).
   uint32_t private_pages() const { return private_pages_; }
@@ -127,9 +148,15 @@ class AddressSpace {
   // capture and the page deduplicator's full-scan mode.
   template <typename Fn>
   void ForEachPrivatePage(Fn&& fn) const {
-    for (Gpfn gpfn = 0; gpfn < ptes_.size(); ++gpfn) {
-      if (ptes_[gpfn].present && !ptes_[gpfn].cow) {
-        fn(gpfn, ptes_[gpfn].frame);
+    for (uint32_t index = 0; index < leaves_.size(); ++index) {
+      const Leaf* leaf = leaves_[index].get();
+      if (leaf == nullptr) {
+        continue;  // only borrowed shares or unmapped pages
+      }
+      for (uint32_t i = 0; i < kLeafPages; ++i) {
+        if (leaf->ptes[i].present && !leaf->ptes[i].cow) {
+          fn((index << kLeafShift) + i, leaf->ptes[i].frame);
+        }
       }
     }
   }
@@ -141,7 +168,7 @@ class AddressSpace {
   template <typename Fn>
   void DrainDirtyPages(Fn&& fn) {
     for (const Gpfn gpfn : dirty_pages_) {
-      Pte& pte = ptes_[gpfn];
+      Pte& pte = leaves_[gpfn >> kLeafShift]->ptes[gpfn & (kLeafPages - 1)];
       if (!pte.dirty) {
         continue;  // unmapped/converted since dirtied
       }
@@ -163,27 +190,72 @@ class AddressSpace {
   // released; `frame` gains a reference.
   void ConvertPrivateToSharedCow(Gpfn gpfn, FrameId frame);
 
-  // Releases every mapping (refcounts drop; private frames free immediately).
+  // Releases every mapping and unbinds the base (owned references drop;
+  // private frames free immediately). Walks materialised leaves only.
   void ReleaseAll();
 
  private:
+  // Trivial, so a fresh leaf is filled once; `Pte{}` is the unmapped entry.
   struct Pte {
-    FrameId frame = kInvalidFrame;
-    bool present = false;
-    bool cow = false;  // present but read-only shared; write must break the share
-    bool dirty = false;  // written since the last dedup drain (kStoreBytes only)
-    bool prefetched = false;  // speculatively materialised, no guest write yet
+    FrameId frame;  // meaningful only when present
+    uint32_t present : 1;
+    uint32_t cow : 1;  // present but read-only shared; write must break the share
+    uint32_t borrowed : 1;  // CoW share of the bound base; holds no reference
+    uint32_t dirty : 1;  // written since the last dedup drain (kStoreBytes only)
+    uint32_t prefetched : 1;  // speculatively materialised, no guest write yet
+  };
+  static_assert(sizeof(Pte) == 8, "a PTE must stay 8 bytes");
+
+  struct Leaf {
+    Pte ptes[kLeafPages];
   };
 
-  // Ensures the page at `gpfn` is privately writable; returns false on OOM.
-  bool MakeWritable(Gpfn gpfn, MemAccessResult* result);
+  static Pte SharedPte(FrameId frame, bool borrowed) {
+    Pte pte{};
+    pte.frame = frame;
+    pte.present = 1;
+    pte.cow = 1;
+    pte.borrowed = borrowed ? 1 : 0;
+    return pte;
+  }
+  static Pte PrivatePte(FrameId frame) {
+    Pte pte{};
+    pte.frame = frame;
+    pte.present = 1;
+    return pte;
+  }
+
+  // The PTE for `gpfn` without materialising its leaf: an unmaterialised leaf
+  // reads as the bound base's borrowed share (or unmapped when none is bound).
+  Pte PteAt(Gpfn gpfn) const {
+    const Leaf* leaf = leaves_[gpfn >> kLeafShift].get();
+    if (leaf != nullptr) {
+      return leaf->ptes[gpfn & (kLeafPages - 1)];
+    }
+    return base_.empty() ? Pte{} : SharedPte(base_[gpfn], /*borrowed=*/true);
+  }
+
+  // The PTE for `gpfn`, materialising its leaf first.
+  Pte& MutablePte(Gpfn gpfn) {
+    std::unique_ptr<Leaf>& leaf = leaves_[gpfn >> kLeafShift];
+    if (leaf == nullptr) {
+      MaterializeLeaf(gpfn >> kLeafShift);
+    }
+    return leaf->ptes[gpfn & (kLeafPages - 1)];
+  }
+
+  // Allocates leaf `index`, filled with the base's borrowed shares.
+  void MaterializeLeaf(uint32_t index);
+
+  // Ensures the page at `gpfn` is privately writable; returns its PTE, or
+  // nullptr on OOM.
+  Pte* MakeWritable(Gpfn gpfn, MemAccessResult* result);
 
   // Shared implementation of FaultRange/PrefetchRange.
   MemAccessResult FaultRangeInternal(Gpfn first_gpfn, uint32_t count,
                                      bool prefetch);
 
-  void MarkDirty(Gpfn gpfn) {
-    Pte& pte = ptes_[gpfn];
+  void MarkDirty(Gpfn gpfn, Pte& pte) {
     if (!pte.dirty) {
       pte.dirty = true;
       dirty_pages_.push_back(gpfn);
@@ -197,7 +269,11 @@ class AddressSpace {
   }
 
   FrameAllocator* allocator_;
-  std::vector<Pte> ptes_;
+  uint32_t num_pages_;
+  // Directory of leaf tables; null until the first mutation in its range.
+  std::vector<std::unique_ptr<Leaf>> leaves_;
+  // Bound base frames, indexed by gpfn (empty when nothing is bound).
+  std::span<const FrameId> base_;
   std::vector<Gpfn> dirty_pages_;  // queue for DrainDirtyPages; deduped via Pte::dirty
   std::vector<Gpfn> touch_order_;  // first-materialisation order (when armed)
   // Scratch for FaultRangeInternal, kept across calls so a steady stream of

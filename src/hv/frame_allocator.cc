@@ -168,11 +168,6 @@ void FrameAllocator::Ref(FrameId frame) {
   ++frames_[frame].refcount;
 }
 
-void FrameAllocator::RefN(FrameId frame, uint32_t count) {
-  PK_CHECK(frame < frames_.size() && frames_[frame].refcount > 0) << "ref dead frame";
-  frames_[frame].refcount += count;
-}
-
 void FrameAllocator::ReleaseData(Frame& frame) {
   if (frame.data != nullptr && buffer_pool_.size() < kBufferPoolCap) {
     buffer_pool_.push_back(std::move(frame.data));

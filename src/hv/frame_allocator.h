@@ -1,11 +1,13 @@
 // Machine-frame allocator with reference counting.
 //
-// This is the substrate for delta virtualization: a frame mapped copy-on-write into
-// many VMs has a refcount equal to the number of mappings, and the host's *used
-// frame count* — the quantity delta virtualization minimizes — is exactly the number
-// of live frames here. Frame contents can be stored for real (tests, fidelity
-// checks) or tracked as metadata only (large-scale benchmarks), selected per host;
-// all byte access goes through this class so callers are oblivious to the mode.
+// This is the substrate for delta virtualization: a frame's refcount is the number
+// of its holders — image generations, explicit CoW mappings and a private owner
+// (flash clones borrow their generation's reference instead of taking one per
+// page) — and the host's *used frame count* — the quantity delta virtualization
+// minimizes — is exactly the number of live frames here. Frame contents can be
+// stored for real (tests, fidelity checks) or tracked as metadata only
+// (large-scale benchmarks), selected per host; all byte access goes through this
+// class so callers are oblivious to the mode.
 //
 // Two allocation surfaces coexist:
 //   * the per-frame calls (`AllocateZeroed`, `CloneFrame`) — one frame per call,
@@ -85,10 +87,6 @@ class FrameAllocator {
   FrameAllocStatus CloneFrameBatch(std::span<const FrameId> src, FrameId* out);
 
   void Ref(FrameId frame);
-  // Takes `count` additional references in one accounting step (a freshly
-  // cloned address space references every image frame once; callers mapping a
-  // run against one frame fold the whole run into a single add).
-  void RefN(FrameId frame, uint32_t count);
   // Drops a reference; frees the frame when the count reaches zero.
   void Unref(FrameId frame);
   // Drops one reference on every frame of `frames`; freed frames return their

@@ -154,9 +154,10 @@ VirtualMachine* PhysicalHost::CreateClone(ImageId image_id, CloneKind kind,
   bool oom = false;
   switch (kind) {
     case CloneKind::kFlash:
-      // One run-map over the whole generation: per-page Ref still happens, but
-      // PTE setup and share accounting are amortised across the image.
-      mem.MapSharedCowRun(0, img.GenerationFrames(generation));
+      // Delta virtualization: borrow the generation's frame list in O(1). The
+      // generation's own references keep the frames live; the pin taken below
+      // keeps the list itself live until DestroyVm releases the address space.
+      mem.BindBase(img.GenerationFrames(generation));
       break;
     case CloneKind::kFullCopy:
     case CloneKind::kColdBoot: {

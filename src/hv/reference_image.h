@@ -23,6 +23,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/hv/frame_allocator.h"
@@ -79,8 +80,9 @@ class ReferenceImage {
   FrameId FrameForPage(Gpfn gpfn) const;
   // Frame backing `gpfn` in a specific (still-live) generation.
   FrameId FrameForPage(ImageGeneration generation, Gpfn gpfn) const;
-  // All frames of a live generation, indexed by gpfn — the flash-clone run-map
-  // path feeds this straight to AddressSpace::MapSharedCowRun.
+  // All frames of a live generation, indexed by gpfn — what a flash clone
+  // binds with AddressSpace::BindBase. The span stays valid while the
+  // generation is live (pinned or newest), across later Refresh calls.
   std::span<const FrameId> GenerationFrames(ImageGeneration generation) const;
 
   const DeviceSnapshot& devices() const { return devices_; }
@@ -93,6 +95,10 @@ class ReferenceImage {
   }
   // Generations still holding frames (the newest plus any pinned ancestors).
   size_t live_generations() const;
+  // True if `generation` still holds its frames (not retired).
+  bool generation_live(ImageGeneration generation) const {
+    return generation < generations_.size() && !generations_[generation].retired;
+  }
 
   // Derives a new generation from the newest one: unpatched pages share the
   // parent's frames (one extra reference each, no copy), patched pages get
@@ -131,6 +137,9 @@ class ReferenceImage {
     uint32_t pin_count = 0;
     bool retired = false;  // frames released (never the newest generation)
   };
+  // Flash clones borrow `frames.data()` while pinned; growing `generations_`
+  // must move each frame list, never copy it.
+  static_assert(std::is_nothrow_move_constructible_v<Generation>);
 
   // Releases `gen`'s frame references if it is non-newest and unpinned.
   void MaybeRetire(ImageGeneration gen);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <utility>
+#include <vector>
 
 namespace potemkin {
 namespace {
@@ -290,6 +291,66 @@ TEST(HoneyfarmTest, ShardedFarmMatchesUnshardedTotals) {
   EXPECT_EQ(stats4.clones_triggered, stats1.clones_triggered);
   // Inbound probes go straight to their owning shard: no handoffs.
   EXPECT_EQ(stats4.handoffs_out, 0u);
+}
+
+TEST(HoneyfarmTest, ScheduleTraceCountsSameTimestampRecords) {
+  // Records sharing a timestamp go through the batched inbound path; every one
+  // of them must reach the gateway.
+  Honeyfarm farm(SmallFarm());
+  farm.Start();
+  std::vector<TraceRecord> records(3);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].time = TimePoint() + Duration::Seconds(i < 2 ? 1.0 : 2.0);
+    records[i].src = kExternal;
+    records[i].dst = kFarm.AddressAt(i + 1);
+    records[i].proto = IpProto::kTcp;
+    records[i].src_port = 40000;
+    records[i].dst_port = 445;
+    records[i].wire_size = 60;
+    records[i].tcp_flags = TcpFlags::kSyn;
+  }
+  farm.ScheduleTrace(records);
+  farm.RunFor(Duration::Seconds(3.0));
+  EXPECT_EQ(farm.obs().metrics.ValueOf("gateway.rx.packets"), 3.0);
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().inbound_packets, 3u);
+}
+
+TEST(HoneyfarmTest, ContainmentVerdictIsFarmWideAtAnyShardCount) {
+  // The same reflected outbreak at 1, 2 and 4 gateway shards: the farm-wide
+  // containment view sums every shard and stays at zero escapes.
+  const auto run = [](uint32_t shards, OutboundMode mode) {
+    HoneyfarmConfig config = SmallFarm(mode);
+    config.gateway_shards = shards;
+    config.gateway.recycle.infected_hold = Duration::Minutes(10);
+    Honeyfarm farm(config);
+    WormConfig worm_config = SlammerLikeWorm(Ipv4Prefix(Ipv4Address(0, 0, 0, 0), 0));
+    worm_config.scan_rate_pps = 20.0;
+    WormRuntime worm(&farm.loop(), worm_config, 11);
+    farm.AttachWorm(&worm);
+    farm.Start();
+    farm.SeedWorm(worm, kExternal, kFarm.AddressAt(1));
+    farm.RunFor(Duration::Minutes(2));
+    const ContainmentStats total = farm.sharded_gateway().AggregateContainmentStats();
+    ContainmentStats summed;
+    for (uint32_t s = 0; s < shards; ++s) {
+      const ContainmentStats& shard = farm.sharded_gateway().shard(s).containment().stats();
+      summed.reflected += shard.reflected;
+      summed.escapes_from_infected += shard.escapes_from_infected;
+    }
+    EXPECT_EQ(total.reflected, summed.reflected) << shards << " shards";
+    EXPECT_EQ(total.escapes_from_infected, summed.escapes_from_infected)
+        << shards << " shards";
+    return std::pair<ContainmentStats, ContainmentStats>(
+        total, farm.gateway().containment().stats());
+  };
+  for (const uint32_t shards : {1u, 2u, 4u}) {
+    const auto [total, shard0] = run(shards, OutboundMode::kReflect);
+    EXPECT_GT(total.reflected, 0u) << shards << " shards";
+    EXPECT_EQ(total.escapes_from_infected, 0u) << shards << " shards";
+  }
+  // With escapes allowed, shard 0 alone undercounts what the farm let out.
+  const auto [open_total, open_shard0] = run(4, OutboundMode::kOpen);
+  EXPECT_GT(open_total.escapes_from_infected, open_shard0.escapes_from_infected);
 }
 
 }  // namespace

@@ -176,6 +176,108 @@ TEST(AddressSpaceTest, SharedMappingRemapReleasesPrevious) {
   alloc.Unref(b);
 }
 
+std::vector<FrameId> AllocateImage(FrameAllocator& alloc, uint32_t pages) {
+  std::vector<FrameId> image;
+  for (uint32_t i = 0; i < pages; ++i) {
+    image.push_back(alloc.AllocateZeroed());
+  }
+  return image;
+}
+
+TEST(AddressSpaceTest, BindBaseBorrowsWithoutReferences) {
+  FrameAllocator alloc(256, ContentMode::kStoreBytes);
+  const std::vector<FrameId> image = AllocateImage(alloc, 64);
+  {
+    AddressSpace as(&alloc, 64);
+    as.BindBase(image);
+    EXPECT_EQ(as.shared_pages(), 64u);
+    EXPECT_EQ(as.materialized_leaves(), 0u);
+    for (Gpfn g = 0; g < 64; ++g) {
+      EXPECT_TRUE(as.IsCowShared(g));
+      EXPECT_TRUE(as.IsBaseShare(g));
+      EXPECT_EQ(as.FrameAt(g), image[g]);
+      EXPECT_EQ(alloc.RefCount(image[g]), 1u);  // the owner's only
+    }
+    // Breaking a borrowed share copies the page and leaves the source's
+    // references alone.
+    const std::vector<uint8_t> data = {9};
+    EXPECT_EQ(as.WriteGuest(3 * kPageSize, std::span(data.data(), 1)),
+              MemAccessResult::kCowBreak);
+    EXPECT_EQ(alloc.RefCount(image[3]), 1u);
+    EXPECT_FALSE(as.IsBaseShare(3));
+    EXPECT_TRUE(as.IsBaseShare(4));
+    EXPECT_EQ(as.private_pages(), 1u);
+    EXPECT_EQ(as.shared_pages(), 63u);
+    EXPECT_EQ(alloc.used_frames(), 65u);
+  }
+  // Teardown frees the private copy and nothing else.
+  EXPECT_EQ(alloc.used_frames(), 64u);
+  for (FrameId f : image) {
+    EXPECT_EQ(alloc.RefCount(f), 1u);
+    alloc.Unref(f);
+  }
+}
+
+TEST(AddressSpaceTest, OnlyWrittenLeavesMaterialise) {
+  constexpr uint32_t kPages = 8 * AddressSpace::kLeafPages;
+  FrameAllocator alloc(2 * kPages, ContentMode::kMetadataOnly);
+  const std::vector<FrameId> image = AllocateImage(alloc, kPages);
+  AddressSpace as(&alloc, kPages);
+  as.BindBase(image);
+  // Reads never materialise.
+  std::vector<uint8_t> buf(16);
+  EXPECT_EQ(as.ReadGuest(5 * kPageSize, std::span(buf.data(), buf.size())),
+            MemAccessResult::kOk);
+  EXPECT_EQ(as.materialized_leaves(), 0u);
+  // One write into leaf 2, two into leaf 5.
+  const std::vector<uint8_t> data = {1};
+  const Gpfn leaf2 = 2 * AddressSpace::kLeafPages + 17;
+  const Gpfn leaf5 = 5 * AddressSpace::kLeafPages;
+  as.WriteGuest(uint64_t{leaf2} * kPageSize, std::span(data.data(), 1));
+  as.WriteGuest(uint64_t{leaf5} * kPageSize, std::span(data.data(), 1));
+  as.WriteGuest(uint64_t{leaf5 + 1} * kPageSize, std::span(data.data(), 1));
+  EXPECT_EQ(as.materialized_leaves(), 2u);
+  // A batched fault straddling leaves 0 and 1 materialises exactly those.
+  EXPECT_EQ(as.FaultRange(AddressSpace::kLeafPages - 2, 4),
+            MemAccessResult::kCowBreak);
+  EXPECT_EQ(as.materialized_leaves(), 4u);
+  EXPECT_EQ(as.private_pages(), 7u);
+  // Unwritten pages of a materialised leaf still borrow the base.
+  EXPECT_TRUE(as.IsBaseShare(leaf2 + 1));
+  EXPECT_EQ(as.FrameAt(leaf2 + 1), image[leaf2 + 1]);
+  as.ReleaseAll();
+  EXPECT_EQ(as.materialized_leaves(), 0u);
+  EXPECT_FALSE(as.IsMapped(0));
+  EXPECT_EQ(alloc.used_frames(), kPages);
+  for (FrameId f : image) {
+    EXPECT_EQ(alloc.RefCount(f), 1u);
+    alloc.Unref(f);
+  }
+}
+
+TEST(AddressSpaceTest, ExplicitShareOverBaseTakesARealReference) {
+  FrameAllocator alloc(64, ContentMode::kStoreBytes);
+  const std::vector<FrameId> image = AllocateImage(alloc, 4);
+  const FrameId other = alloc.AllocateZeroed();
+  AddressSpace as(&alloc, 4);
+  as.BindBase(image);
+  as.MapSharedCow(1, other);  // replaces a borrowed share: nothing to drop
+  EXPECT_EQ(alloc.RefCount(image[1]), 1u);
+  EXPECT_EQ(alloc.RefCount(other), 2u);
+  EXPECT_TRUE(as.IsCowShared(1));
+  EXPECT_FALSE(as.IsBaseShare(1));
+  EXPECT_EQ(as.shared_pages(), 4u);
+  as.Unmap(2);  // borrowed: no reference to drop
+  EXPECT_EQ(alloc.RefCount(image[2]), 1u);
+  EXPECT_EQ(as.shared_pages(), 3u);
+  EXPECT_FALSE(as.IsMapped(2));
+  as.ReleaseAll();
+  EXPECT_EQ(alloc.RefCount(other), 1u);
+  for (FrameId f : image) {
+    EXPECT_EQ(alloc.RefCount(f), 1u);
+  }
+}
+
 // Property sweep: for any mix of zero-fill and CoW pages, the allocator's used
 // count equals image frames + private frames, and shared+private == mapped pages.
 class AddressSpaceAccountingTest : public ::testing::TestWithParam<int> {};

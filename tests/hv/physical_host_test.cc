@@ -337,5 +337,136 @@ TEST(PhysicalHostTest, DedupNeverCrossLinksGenerations) {
   EXPECT_EQ(gen0_page, ReferenceImage::ExpectedPageContent(image_config, 0));
 }
 
+TEST(PhysicalHostTest, FlashClonesTakeNoImageReferences) {
+  // Delta virtualization at O(delta): 64 flash clones of a 32,768-page image
+  // bind it without touching a single image frame's refcount or allocating
+  // anything (domain overhead is zeroed to make "nothing" exact).
+  PhysicalHostConfig config;
+  config.memory_mb = 256;
+  config.content_mode = ContentMode::kMetadataOnly;
+  config.domain_overhead_frames = 0;
+  PhysicalHost host(config);
+  ReferenceImageConfig image_config;
+  image_config.num_pages = 32768;
+  const ImageId image = host.RegisterImage(image_config);
+  const ReferenceImage& img = *host.image(image);
+  const uint64_t baseline = host.allocator().used_frames();
+  auto expect_image_refs_untouched = [&] {
+    EXPECT_EQ(host.allocator().used_frames(), baseline);
+    for (Gpfn g = 0; g < image_config.num_pages; ++g) {
+      ASSERT_EQ(host.allocator().RefCount(img.FrameForPage(g)), 1u) << "page " << g;
+    }
+  };
+
+  std::vector<VmId> clones;
+  for (int i = 0; i < 64; ++i) {
+    VirtualMachine* vm = host.CreateClone(image, CloneKind::kFlash, "c");
+    ASSERT_NE(vm, nullptr);
+    EXPECT_EQ(vm->memory().shared_pages(), image_config.num_pages);
+    EXPECT_EQ(vm->memory().materialized_leaves(), 0u);
+    clones.push_back(vm->id());
+  }
+  EXPECT_EQ(img.pins(0), 64u);
+  expect_image_refs_untouched();
+  for (const VmId id : clones) {
+    ASSERT_TRUE(host.DestroyVm(id));
+  }
+  EXPECT_EQ(img.pins(0), 0u);
+  expect_image_refs_untouched();
+}
+
+TEST(PhysicalHostTest, BoundGenerationOutlivesGrowingGenerationList) {
+  // A clone borrows generation 0's frame list; eight refreshes grow (and
+  // reallocate) the image's generation list underneath it. The clone must
+  // still read generation-0 bytes and CoW-copy generation-0 content. Run under
+  // ASan this also checks the borrowed view never dangles.
+  PhysicalHost host(SmallHost());
+  const auto image_config = SmallImage();
+  const ImageId image = host.RegisterImage(image_config);
+  ReferenceImage& img = *host.mutable_image(image);
+  VirtualMachine* old_clone = host.CreateClone(image, CloneKind::kFlash, "old");
+  ASSERT_NE(old_clone, nullptr);
+
+  for (uint8_t round = 1; round <= 8; ++round) {
+    std::vector<ImagePatch> patches(2);
+    patches[0].gpfn = round;  // a different page each round
+    patches[0].bytes.assign(kPageSize, round);
+    patches[1].gpfn = 100;  // the same page every round
+    patches[1].bytes.assign(16, static_cast<uint8_t>(0xa0 + round));
+    ASSERT_TRUE(img.Refresh(std::span<const ImagePatch>(patches)));
+  }
+  EXPECT_EQ(img.current_generation(), 8u);
+  EXPECT_EQ(img.live_generations(), 2u);  // generation 0 (pinned) and 8
+
+  auto read_page = [](VirtualMachine* vm, Gpfn g) {
+    std::vector<uint8_t> page(kPageSize);
+    EXPECT_EQ(vm->memory().ReadGuest(uint64_t{g} * kPageSize,
+                                     std::span(page.data(), page.size())),
+              MemAccessResult::kOk);
+    return page;
+  };
+  for (Gpfn g = 0; g < image_config.num_pages; ++g) {
+    ASSERT_EQ(read_page(old_clone, g), ReferenceImage::ExpectedPageContent(image_config, g))
+        << "generation-0 page " << g;
+  }
+  // CoW break on a page every later generation replaced: the private copy
+  // starts from generation-0 content.
+  const std::vector<uint8_t> patch = {0x5a};
+  ASSERT_EQ(old_clone->memory().WriteGuest(100 * kPageSize + 2000,
+                                           std::span(patch.data(), 1)),
+            MemAccessResult::kCowBreak);
+  std::vector<uint8_t> expected = ReferenceImage::ExpectedPageContent(image_config, 100);
+  expected[2000] = 0x5a;
+  EXPECT_EQ(read_page(old_clone, 100), expected);
+
+  // A new clone binds generation 8.
+  VirtualMachine* new_clone = host.CreateClone(image, CloneKind::kFlash, "new");
+  ASSERT_NE(new_clone, nullptr);
+  EXPECT_EQ(read_page(new_clone, 8), std::vector<uint8_t>(kPageSize, 8));
+  EXPECT_EQ(read_page(new_clone, 100)[0], 0xa8);
+
+  host.DestroyVm(old_clone->id());
+  EXPECT_EQ(img.live_generations(), 1u);
+}
+
+TEST(PhysicalHostTest, DedupMergeOnBaseBoundCloneTakesOneReference) {
+  PhysicalHost host(SmallHost());
+  const ImageId image = host.RegisterImage(SmallImage());
+  const FrameId image_frame = host.image(image)->FrameForPage(9);
+  VirtualMachine* a = host.CreateClone(image, CloneKind::kFlash, "a");
+  VirtualMachine* b = host.CreateClone(image, CloneKind::kFlash, "b");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  const uint64_t baseline = host.allocator().used_frames();
+
+  // Both clones break their borrowed share of page 9 with identical bytes.
+  const std::vector<uint8_t> same(kPageSize, 0x3c);
+  a->memory().WriteGuest(9 * kPageSize, std::span(same.data(), same.size()));
+  b->memory().WriteGuest(9 * kPageSize, std::span(same.data(), same.size()));
+  EXPECT_EQ(host.allocator().used_frames(), baseline + 2);
+  EXPECT_EQ(host.allocator().RefCount(image_frame), 1u);
+
+  const DedupResult result = DeduplicatePages(host);
+  EXPECT_EQ(result.pages_merged, 1u);
+  // One private frame dropped; the survivor is held by exactly the two
+  // explicit shares, and the image frame is still untouched.
+  EXPECT_EQ(host.allocator().used_frames(), baseline + 1);
+  const FrameId merged = a->memory().FrameAt(9);
+  EXPECT_EQ(b->memory().FrameAt(9), merged);
+  EXPECT_EQ(host.allocator().RefCount(merged), 2u);
+  EXPECT_EQ(host.allocator().RefCount(image_frame), 1u);
+  for (VirtualMachine* vm : {a, b}) {
+    EXPECT_TRUE(vm->memory().IsCowShared(9));
+    EXPECT_FALSE(vm->memory().IsBaseShare(9));
+    EXPECT_TRUE(vm->memory().IsBaseShare(10));
+  }
+
+  ASSERT_TRUE(host.DestroyVm(b->id()));
+  EXPECT_EQ(host.allocator().RefCount(merged), 1u);
+  ASSERT_TRUE(host.DestroyVm(a->id()));
+  EXPECT_EQ(host.allocator().used_frames(), baseline - 2 * 8);  // minus overhead
+  EXPECT_EQ(host.allocator().RefCount(image_frame), 1u);
+}
+
 }  // namespace
 }  // namespace potemkin

@@ -3,8 +3,10 @@
 //
 //   P1 memory conservation — a host's used frames always decompose exactly into
 //      image frames + per-VM domain overhead + per-VM private deltas
-//   P2 share accounting    — an image frame's refcount is 1 (image) + number of
-//      VMs still sharing it
+//   P2 share accounting    — a frame's refcount is the live image generations
+//      holding it + the explicit (non-borrowed) CoW shares and private owners
+//      mapping it; each generation's pin count is the number of VMs bound to
+//      it, and every borrowed share maps its own bound generation's frame
 //   P3 containment         — under drop/reflect, the only packets on the real
 //      Internet are responses to externally initiated flows
 //   P4 determinism         — identical seeds give bit-identical farm statistics
@@ -12,8 +14,12 @@
 //      and every frame beyond the images is reclaimed
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "src/base/rng.h"
 #include "src/core/honeyfarm.h"
+#include "src/hv/page_dedup.h"
 
 namespace potemkin {
 namespace {
@@ -93,6 +99,46 @@ MemoryAccounting AccountHost(CloneServer& server, uint32_t image_pages,
   return acc;
 }
 
+// P2 on one host. Flash clones borrow their pinned generation's frames without
+// a reference, so the count a frame must carry is exactly what generations
+// and non-borrowed mappings account for; a leaked or double-dropped reference
+// on any image, shared or private frame shows up as a mismatch.
+void ExpectShareAccounting(PhysicalHost& host, const std::string& where) {
+  const ReferenceImage* image = host.image(0);
+  ASSERT_NE(image, nullptr);
+  std::map<FrameId, uint32_t> accounted;
+  for (ImageGeneration g = 0; g <= image->current_generation(); ++g) {
+    if (image->generation_live(g)) {
+      for (const FrameId frame : image->GenerationFrames(g)) {
+        ++accounted[frame];
+      }
+    }
+  }
+  std::map<ImageGeneration, uint32_t> bound;
+  host.ForEachVm([&](VirtualMachine& vm) {
+    const ImageGeneration g = host.VmGeneration(vm.id());
+    ++bound[g];
+    const AddressSpace& memory = vm.memory();
+    for (Gpfn gpfn = 0; gpfn < memory.num_pages(); ++gpfn) {
+      if (!memory.IsMapped(gpfn)) {
+        continue;
+      }
+      if (memory.IsBaseShare(gpfn)) {
+        ASSERT_EQ(memory.FrameAt(gpfn), image->FrameForPage(g, gpfn))
+            << where << " vm " << vm.id() << " gpfn " << gpfn;
+      } else {
+        ++accounted[memory.FrameAt(gpfn)];  // explicit share or private owner
+      }
+    }
+  });
+  for (const auto& [frame, refs] : accounted) {
+    EXPECT_EQ(host.allocator().RefCount(frame), refs) << where << " frame " << frame;
+  }
+  for (ImageGeneration g = 0; g <= image->current_generation(); ++g) {
+    EXPECT_EQ(image->pins(g), bound[g]) << where << " generation " << g;
+  }
+}
+
 class FarmPropertyTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, OutboundMode, bool>> {};
 
@@ -111,19 +157,60 @@ TEST_P(FarmPropertyTest, MemoryConservationAndShareAccounting) {
     EXPECT_EQ(acc.used_frames, acc.expected) << "host " << s << " seed " << seed;
   }
 
-  // P2: spot-check image frame refcounts on host 0.
-  const ReferenceImage* image = farm.server(0).host().image(0);
-  ASSERT_NE(image, nullptr);
-  for (Gpfn gpfn = 0; gpfn < 512; gpfn += 97) {
-    const FrameId frame = image->FrameForPage(gpfn);
-    uint32_t sharers = 0;
-    farm.server(0).host().ForEachVm([&](VirtualMachine& vm) {
-      if (vm.memory().IsCowShared(gpfn) && vm.memory().FrameAt(gpfn) == frame) {
-        ++sharers;
-      }
-    });
-    EXPECT_EQ(farm.server(0).host().allocator().RefCount(frame), 1 + sharers)
-        << "gpfn " << gpfn;
+  // P2: exact share accounting on every host.
+  for (size_t s = 0; s < farm.server_count(); ++s) {
+    ExpectShareAccounting(farm.server(s).host(),
+                          "host " + std::to_string(s) + " seed " + std::to_string(seed));
+  }
+}
+
+TEST_P(FarmPropertyTest, ShareAccountingAcrossRefreshAndDedup) {
+  // P2 with more than one live generation and with explicit shares: clones
+  // bound before a mid-run image refresh keep generation 0 pinned, and a dedup
+  // pass turns identical private pages into reference-holding CoW shares.
+  const auto [seed, mode, strict] = GetParam();
+  HoneyfarmConfig config = PropertyFarmConfig(mode, strict);
+  Honeyfarm farm(config);
+  farm.Start();
+  Rng rng(seed);
+  DriveRandomTraffic(farm, rng, 150, Duration::Millis(50));
+  std::vector<ImagePatch> patches(2);
+  patches[0].gpfn = 7;
+  patches[0].bytes.assign(64, 0x7e);
+  patches[1].gpfn = 300;
+  patches[1].bytes.assign(kPageSize, 0x30);
+  for (size_t s = 0; s < farm.server_count(); ++s) {
+    ASSERT_TRUE(farm.server(s).host().mutable_image(0)->Refresh(
+        std::span<const ImagePatch>(patches)));
+  }
+  DriveRandomTraffic(farm, rng, 150, Duration::Millis(50));
+  uint64_t old_generation_pins = 0;
+  uint64_t merged = 0;
+  for (size_t s = 0; s < farm.server_count(); ++s) {
+    PhysicalHost& host = farm.server(s).host();
+    old_generation_pins += host.image(0)->pins(0);
+    merged += DeduplicatePages(host).pages_merged;
+    ExpectShareAccounting(host, "host " + std::to_string(s) + " seed " +
+                                    std::to_string(seed));
+  }
+  EXPECT_GT(old_generation_pins, 0u) << "no clone outlived the refresh";
+  EXPECT_GT(merged, 0u) << "dedup created no explicit shares";
+
+  // Teardown of clones holding merged shares: part of the population idles
+  // out, then all of it. Surviving sharers' counts stay exact, and once every
+  // clone is gone only the newest generation's frames remain.
+  farm.RunFor(Duration::Seconds(12));
+  for (size_t s = 0; s < farm.server_count(); ++s) {
+    ExpectShareAccounting(farm.server(s).host(),
+                          "after partial recycle, host " + std::to_string(s));
+  }
+  farm.RunFor(Duration::Minutes(2));
+  EXPECT_EQ(farm.TotalLiveVms(), 0u);
+  EXPECT_EQ(farm.TotalUsedFrames(), 512u * farm.server_count());
+  for (size_t s = 0; s < farm.server_count(); ++s) {
+    EXPECT_EQ(farm.server(s).host().image(0)->live_generations(), 1u);
+    ExpectShareAccounting(farm.server(s).host(),
+                          "after full recycle, host " + std::to_string(s));
   }
 }
 
