@@ -255,21 +255,30 @@ void RunDensitySection(BenchReport& report, uint64_t target, double rate) {
               r.prefetch_hit_rate);
 
   report.Add("density_peak_concurrent_clones",
-             static_cast<double>(r.peak_concurrent), "vms");
+             static_cast<double>(r.peak_concurrent), "vms", Better::kLower,
+             Kind::kDeterministic);
   report.Add("density_clones_completed", static_cast<double>(r.completed),
-             "clones");
-  report.Add("density_clone_failures", static_cast<double>(r.failures), "clones");
+             "clones", Better::kLower, Kind::kDeterministic);
+  report.Add("density_clone_failures", static_cast<double>(r.failures),
+             "clones", Better::kLower, Kind::kDeterministic);
   report.Add("density_pressure_reclaims",
-             static_cast<double>(r.pressure_reclaims), "vms");
-  report.Add("density_prefetch_hit_rate", r.prefetch_hit_rate, "ratio");
+             static_cast<double>(r.pressure_reclaims), "vms", Better::kLower,
+             Kind::kDeterministic);
+  report.Add("density_prefetch_hit_rate", r.prefetch_hit_rate, "ratio",
+             Better::kHigher, Kind::kDeterministic);
   for (int p = 0; p < static_cast<int>(ClonePhase::kNumPhases); ++p) {
     report.Add(StrFormat("density_phase_%s_p99_ms", kPhaseSlug[p]),
-               r.phase_ms[p].Quantile(0.99), "ms");
+               r.phase_ms[p].Quantile(0.99), "ms", Better::kLower,
+               Kind::kDeterministic);
   }
-  report.Add("density_ws_prefetch_p99_ms", r.prefetch_ms.Quantile(0.99), "ms");
-  report.Add("density_total_p50_ms", r.total_ms.Quantile(0.5), "ms");
-  report.Add("density_total_p99_ms", r.total_ms.Quantile(0.99), "ms");
-  report.Add("density_queue_wait_p99_ms", r.queue_wait_ms.Quantile(0.99), "ms");
+  report.Add("density_ws_prefetch_p99_ms", r.prefetch_ms.Quantile(0.99), "ms",
+             Better::kLower, Kind::kDeterministic);
+  report.Add("density_total_p50_ms", r.total_ms.Quantile(0.5), "ms",
+             Better::kLower, Kind::kDeterministic);
+  report.Add("density_total_p99_ms", r.total_ms.Quantile(0.99), "ms",
+             Better::kLower, Kind::kDeterministic);
+  report.Add("density_queue_wait_p99_ms", r.queue_wait_ms.Quantile(0.99), "ms",
+             Better::kLower, Kind::kDeterministic);
 }
 
 void Run(int argc, char** argv) {
@@ -319,7 +328,8 @@ void Run(int argc, char** argv) {
                                  CloneLatencyModel{}.FlashCloneTotal(8192)
                              ? "_optimized"
                              : ""),
-               saturated_rate, "clones/s");
+               saturated_rate, "clones/s",
+               Better::kHigher, Kind::kDeterministic);
   }
   const auto density_target =
       static_cast<uint64_t>(flags.GetInt("density-target", 2000));

@@ -181,11 +181,12 @@ void Run(int, char**) {
               "class whose fate differs across policies.\n");
 
   BenchReport report("containment_matrix");
-  report.Add("traffic_classes", static_cast<double>(classes.size()), "classes");
+  report.Add("traffic_classes", static_cast<double>(classes.size()), "classes",
+             Better::kLower, Kind::kDeterministic);
   report.Add("classes_reflected_under_reflect", static_cast<double>(reflected),
-             "classes");
+             "classes", Better::kLower, Kind::kDeterministic);
   report.Add("classes_dropped_under_drop_all", static_cast<double>(dropped),
-             "classes");
+             "classes", Better::kLower, Kind::kDeterministic);
   report.WriteJson();
 }
 

@@ -156,11 +156,14 @@ void Run(int argc, char** argv) {
   BenchReport report("fidelity_comparison");
   report.set_seed(flags.GetUint("seed", 17));
   report.Add("infections_high_interaction",
-             static_cast<double>(high.infections_observed), "infections");
+             static_cast<double>(high.infections_observed), "infections",
+             Better::kLower, Kind::kDeterministic);
   report.Add("infections_low_interaction",
-             static_cast<double>(low.infections_observed), "infections");
+             static_cast<double>(low.infections_observed), "infections",
+             Better::kLower, Kind::kDeterministic);
   report.Add("worm_scans_captured_high",
-             static_cast<double>(high.worm_scans_captured), "packets");
+             static_cast<double>(high.worm_scans_captured), "packets",
+             Better::kLower, Kind::kDeterministic);
   report.WriteJson();
 }
 

@@ -104,7 +104,8 @@ void Run(int argc, char** argv) {
     report.Add(StrFormat("infections_30s_%s_%s",
                          c.two_phase ? "two_phase" : "single_packet",
                          c.queue ? "queued" : "dropped"),
-               static_cast<double>(cell.infections_30s), "infections");
+               static_cast<double>(cell.infections_30s), "infections",
+               Better::kLower, Kind::kDeterministic);
     std::fprintf(stderr, "  [done] %s / %s\n", c.worm, c.pending);
   }
   report.WriteJson();

@@ -102,12 +102,13 @@ void Run(int argc, char** argv) {
                pre_frames ? static_cast<double>(pre_frames) /
                                 static_cast<double>(post_frames)
                           : 1.0,
-               "x");
+               "x", Better::kHigher, Kind::kDeterministic);
 
     // Idempotence check on the largest configuration.
     if (vms == 128) {
-      report.Add("pages_merged_128_vms", static_cast<double>(result.pages_merged),
-                 "pages");
+      report.Add("pages_merged_128_vms",
+                 static_cast<double>(result.pages_merged), "pages",
+                 Better::kLower, Kind::kDeterministic);
       const DedupResult second = DeduplicatePages(host);
       std::fprintf(stderr, "  second pass: merged=%llu (expect 0)\n",
                    static_cast<unsigned long long>(second.pages_merged));

@@ -11,7 +11,7 @@
 // --series-out. Everything in the series is virtual-time deterministic: two
 // runs with the same seed produce byte-identical series files (CI `cmp`s
 // them). Wall-clock facts — RSS at the midpoint and end, elapsed real time —
-// go only into the BENCH_soak.json report, in rows bench_diff gates wide.
+// go only into the BENCH_soak.json report, in wallclock rows CI gates wide.
 //
 //   ./bench_soak [--minutes=30] [--seed=21] [--shards=2] [--hosts=4]
 //                [--pps=40] [--interval-ms=1000] [--series-out=PATH]
@@ -204,25 +204,34 @@ int Run(int argc, char** argv) {
     report.set_seed(seed);
     report.set_shards(shards);
     // Virtual-time rows: identical across machines for a given seed.
-    report.Add("packets_replayed", static_cast<double>(trace.size()), "pkts");
+    report.Add("packets_replayed", static_cast<double>(trace.size()), "pkts",
+               Better::kLower, Kind::kDeterministic);
     report.Add("datapath_packets", static_cast<double>(final_datapath.total),
-               "pkts");
+               "pkts", Better::kLower, Kind::kDeterministic);
     report.Add("clones_completed",
-               static_cast<double>(farm.total_clones_completed()), "clones");
-    report.Add("datapath_p50", static_cast<double>(final_datapath.Quantile(0.5)),
-               "ns");
-    report.Add("datapath_p99", static_cast<double>(final_datapath.Quantile(0.99)),
-               "ns");
+               static_cast<double>(farm.total_clones_completed()), "clones",
+               Better::kLower, Kind::kDeterministic);
+    report.Add("datapath_p50",
+               static_cast<double>(final_datapath.Quantile(0.5)), "ns",
+               Better::kLower, Kind::kDeterministic);
+    report.Add("datapath_p99",
+               static_cast<double>(final_datapath.Quantile(0.99)), "ns",
+               Better::kLower, Kind::kDeterministic);
     report.Add("datapath_p999",
-               static_cast<double>(final_datapath.Quantile(0.999)), "ns");
-    report.Add("p99_second_half", p99_second, "ns");
+               static_cast<double>(final_datapath.Quantile(0.999)), "ns",
+               Better::kLower, Kind::kDeterministic);
+    report.Add("p99_second_half", p99_second, "ns", Better::kLower,
+               Kind::kDeterministic);
     report.Add("telemetry_samples", static_cast<double>(exporter.sequence()),
-               "samples");
+               "samples", Better::kLower, Kind::kDeterministic);
     // Wall-clock rows: host-dependent; CI gates them with wide explicit
-    // thresholds and bench_trajectory skips them entirely.
-    report.Add("rss_mid_mb", rss_mid_mb, "mb");
-    report.Add("rss_final_mb", rss_final_mb, "mb");
-    report.Add("wallclock_ms", wallclock_ms, "ms");
+    // thresholds and `bench_tool check` never trend-checks them.
+    report.Add("rss_mid_mb", rss_mid_mb, "mb", Better::kLower,
+               Kind::kWallclock);
+    report.Add("rss_final_mb", rss_final_mb, "mb", Better::kLower,
+               Kind::kWallclock);
+    report.Add("wallclock_ms", wallclock_ms, "ms", Better::kLower,
+               Kind::kWallclock);
     const std::string path = report.WriteJson();
     if (!path.empty()) {
       std::printf("wrote %s\n", path.c_str());

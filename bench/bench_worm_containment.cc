@@ -159,8 +159,9 @@ void Run(int argc, char** argv) {
       slug += (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ? c : '_';
     }
     report.Add("infections_" + slug, static_cast<double>(r.infections),
-               "infections");
-    report.Add("escapes_" + slug, static_cast<double>(r.escapes), "packets");
+               "infections", Better::kLower, Kind::kDeterministic);
+    report.Add("escapes_" + slug, static_cast<double>(r.escapes), "packets",
+               Better::kLower, Kind::kDeterministic);
   }
   report.WriteJson();
 }

@@ -31,10 +31,30 @@ std::string FirstLineOf(const char* command) {
 
 }  // namespace
 
+const char* BetterName(Better better) {
+  return better == Better::kHigher ? "higher" : "lower";
+}
+
+const char* KindName(Kind kind) {
+  return kind == Kind::kWallclock ? "wallclock" : "deterministic";
+}
+
+bool ParseBetter(std::string_view name, Better* out) {
+  *out = name == "higher" ? Better::kHigher : Better::kLower;
+  return name == BetterName(*out);
+}
+
+bool ParseKind(std::string_view name, Kind* out) {
+  *out = name == "wallclock" ? Kind::kWallclock : Kind::kDeterministic;
+  return name == KindName(*out);
+}
+
 BenchReport::BenchReport(std::string benchmark) : benchmark_(std::move(benchmark)) {}
 
-void BenchReport::Add(std::string metric, double value, std::string unit) {
-  metrics_.push_back(Metric{std::move(metric), value, std::move(unit)});
+void BenchReport::Add(std::string metric, double value, std::string unit,
+                      Better better, Kind kind) {
+  metrics_.push_back(
+      Metric{std::move(metric), value, std::move(unit), better, kind});
 }
 
 std::string BenchReport::OutputDir() {
@@ -54,6 +74,8 @@ std::string BenchReport::GitSha() {
 std::string BenchReport::ToJson() const {
   std::string out = "{\n  \"benchmark\": ";
   AppendJsonString(out, benchmark_);
+  out += ",\n  \"schema_version\": ";
+  AppendJsonNumber(out, kSchemaVersion);
   out += ",\n  \"seed\": ";
   AppendJsonNumber(out, static_cast<double>(seed_));
   out += ",\n  \"git_sha\": ";
@@ -72,6 +94,10 @@ std::string BenchReport::ToJson() const {
     AppendJsonNumber(out, metrics_[i].value);
     out += ", \"unit\": ";
     AppendJsonString(out, metrics_[i].unit);
+    out += ", \"better\": ";
+    AppendJsonString(out, BetterName(metrics_[i].better));
+    out += ", \"kind\": ";
+    AppendJsonString(out, KindName(metrics_[i].kind));
     out += "}";
   }
   out += "\n  ]\n}\n";

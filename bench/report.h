@@ -1,38 +1,59 @@
 // Perf-trajectory reporting: every benchmark binary records its headline
 // metrics as BENCH_<name>.json at the repository root, so successive commits
-// leave a machine-readable performance trail (compare two checkouts by diffing
-// their BENCH files). The schema is deliberately flat — one object per binary,
-// one row per metric — so a dashboard or CI check needs no bench-specific
-// parsing:
+// leave a machine-readable performance trail (tools/bench_tool diffs, records
+// and trend-checks them). The schema is deliberately flat — one object per
+// binary, one row per metric — and every row declares how to judge it, so a
+// dashboard or CI check needs no bench-specific knowledge:
 //
 //   {
 //     "benchmark": "vm_scaling",
+//     "schema_version": 2,
 //     "seed": 42,
 //     "git_sha": "97e6328",
 //     "shards": 1,
 //     "host_threads": 8,
 //     "metrics": [
-//       {"metric": "peak_live_vms_timeout_5s", "value": 533, "unit": "vms"}
+//       {"metric": "peak_live_vms_timeout_5s", "value": 533, "unit": "vms",
+//        "better": "lower", "kind": "deterministic"}
 //     ]
 //   }
 //
+// `better` is the direction a row improves in (the same key BENCHMARK.json
+// uses). `kind` says whether the value comes from the deterministic virtual-
+// time simulation (identical on every host for a given seed) or is a
+// wallclock measurement of the runner (time, rates, RSS). `shards` and
+// `host_threads` are `null` in reports recorded before they were stamped.
+//
 // The output directory is the enclosing git worktree root (queried from git at
-// run time), overridable with POTEMKIN_BENCH_DIR; metric values come from the
-// deterministic simulation, so a BENCH file diff is meaningful noise-free.
+// run time), overridable with POTEMKIN_BENCH_DIR.
 #ifndef BENCH_REPORT_H_
 #define BENCH_REPORT_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace potemkin {
 
+enum class Better { kLower, kHigher };
+enum class Kind { kDeterministic, kWallclock };
+
+// The schema spellings: "lower"/"higher" and "deterministic"/"wallclock".
+// The parsers return false for any other spelling.
+const char* BetterName(Better better);
+const char* KindName(Kind kind);
+bool ParseBetter(std::string_view name, Better* out);
+bool ParseKind(std::string_view name, Kind* out);
+
 class BenchReport {
  public:
+  static constexpr int kSchemaVersion = 2;
+
   explicit BenchReport(std::string benchmark);
 
-  void Add(std::string metric, double value, std::string unit);
+  void Add(std::string metric, double value, std::string unit, Better better,
+           Kind kind);
   void set_seed(uint64_t seed) { seed_ = seed; }
   // Gateway shard count the run used (1 for unsharded benches). Stamped into
   // the JSON alongside `host_threads` (the machine's hardware concurrency) so
@@ -56,6 +77,8 @@ class BenchReport {
     std::string name;
     double value;
     std::string unit;
+    Better better;
+    Kind kind;
   };
 
   std::string benchmark_;

@@ -484,19 +484,25 @@ int main(int argc, char** argv) {
   if (write_bench) {
     BenchReport report("persona_farm");
     report.set_seed(seed);
-    report.Add("escape_attempts", static_cast<double>(escape_attempts), "count");
+    report.Add("escape_attempts", static_cast<double>(escape_attempts), "count",
+               Better::kLower, Kind::kDeterministic);
     report.Add("escape_attempts_blocked", static_cast<double>(escape_blocked),
-               "count");
-    report.Add("persona_lockouts", static_cast<double>(lockouts), "count");
-    report.Add("decoys_served", static_cast<double>(decoys), "count");
+               "count", Better::kLower, Kind::kDeterministic);
+    report.Add("persona_lockouts", static_cast<double>(lockouts), "count",
+               Better::kLower, Kind::kDeterministic);
+    report.Add("decoys_served", static_cast<double>(decoys), "count",
+               Better::kLower, Kind::kDeterministic);
     report.Add("smb_tree_connects", static_cast<double>(smb_tree_connects),
-               "count");
-    report.Add("infections", static_cast<double>(infections), "count");
+               "count", Better::kLower, Kind::kDeterministic);
+    report.Add("infections", static_cast<double>(infections), "count",
+               Better::kLower, Kind::kDeterministic);
     report.Add("dropper_fetches",
-               static_cast<double>(dropper.stats().fetches_sent), "count");
-    report.Add("dropper_stalled", static_cast<double>(stalled), "count");
+               static_cast<double>(dropper.stats().fetches_sent), "count",
+               Better::kLower, Kind::kDeterministic);
+    report.Add("dropper_stalled", static_cast<double>(stalled), "count",
+               Better::kLower, Kind::kDeterministic);
     report.Add("allowlist_escapes", static_cast<double>(allowlist_escapes),
-               "count");
+               "count", Better::kLower, Kind::kDeterministic);
     const std::string path = report.WriteJson();
     if (!path.empty()) {
       std::printf("bench report: %s\n", path.c_str());

@@ -18,8 +18,8 @@ std::string HealthSnapshot::ToJson() const {
   AppendJsonNumber(out, static_cast<double>(sequence));
   out += ",\n  \"time_ns\": ";
   AppendJsonNumber(out, static_cast<double>(time_ns));
-  // Alerts come BEFORE metrics: the string-scan consumers (bench_diff,
-  // metrics_dump) treat every {...} after "metrics" as a metric row.
+  // Alerts come BEFORE metrics; the order is part of the byte-compared
+  // artifact layout (see the header).
   out += ",\n  \"alerts_schema_version\": ";
   AppendJsonNumber(out, static_cast<double>(kAlertsSchemaVersion));
   out += ",\n  \"alerts\": [";

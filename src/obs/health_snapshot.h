@@ -5,9 +5,9 @@
 // rate, containment verdict counts, recycler churn, …) stamped with the
 // virtual time it was taken. Its JSON rendering is *versioned* —
 // `schema_version` is bumped on any incompatible change — and deliberately
-// shares the flat metric-row shape of the BENCH_<name>.json perf reports, so
-// `tools/bench_diff` can threshold-compare two snapshots exactly like two
-// bench reports (it rejects unknown schema versions with exit 2).
+// shares the flat metric-row shape of the BENCH_<name>.json perf reports;
+// `tools/bench_tool validate` schema-checks it (rejecting unknown schema
+// versions with exit 2) and `tools/metrics_dump` reads it back.
 //
 // `HealthMonitor` drives periodic snapshotting off the simulation's
 // `EventLoop::SchedulePeriodic`: one retained callback samples the registry at
@@ -42,8 +42,8 @@ struct AlertSample {
 };
 
 struct HealthSnapshot {
-  // Bump on any incompatible change to the JSON layout; bench_diff and the CI
-  // schema check pin the versions they understand.
+  // Bump on any incompatible change to the JSON layout; bench_tool validate
+  // and metrics_dump pin the versions they understand.
   static constexpr int kSchemaVersion = 1;
   // The `alerts` section carries its own version so alert-shape changes don't
   // force a metrics-schema bump (and vice versa).
@@ -55,9 +55,9 @@ struct HealthSnapshot {
   std::vector<AlertSample> alerts;  // watchdog rules firing at sample time
   std::vector<MetricRegistry::Sample> metrics;
 
-  // Versioned JSON. The `alerts` section deliberately precedes `metrics`:
-  // bench_diff/metrics_dump scan every {...} after the "metrics" key as a
-  // metric row, so alert objects must sit before it.
+  // Versioned JSON. The `alerts` section precedes `metrics` so a reader sees
+  // what is firing before the long metric list, and the order stays fixed
+  // because snapshot artifacts are byte-compared across runs.
   //   {
   //     "snapshot": "<source>",
   //     "schema_version": 1,

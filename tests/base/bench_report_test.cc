@@ -1,7 +1,8 @@
 // Validates the perf-trajectory report schema (bench/report.h): every bench
-// binary ships BENCH_<name>.json with {benchmark, seed, git_sha, metrics:
-// [{metric, value, unit}]}. CI and dashboards diff these files across commits,
-// so the shape and the write path are contract, not implementation detail.
+// binary ships BENCH_<name>.json with {benchmark, schema_version, seed,
+// git_sha, shards, host_threads, metrics: [{metric, value, unit, better,
+// kind}]}. CI and dashboards diff these files across commits, so the shape and
+// the write path are contract, not implementation detail.
 #include "bench/report.h"
 
 #include <unistd.h>
@@ -33,18 +34,23 @@ std::string ReadFile(const std::string& path) {
 TEST(BenchReportTest, JsonCarriesAllRequiredKeys) {
   BenchReport report("schema_check");
   report.set_seed(42);
-  report.Add("clone_latency", 0.512, "ms");
-  report.Add("peak_vms", 533.0, "vms");
+  report.Add("clone_latency", 0.5, "ms", Better::kLower,
+             Kind::kDeterministic);
+  report.Add("peak_vms", 533.0, "vms", Better::kHigher, Kind::kWallclock);
 
   const std::string json = report.ToJson();
   EXPECT_NE(json.find("\"benchmark\": \"schema_check\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"seed\": 42"), std::string::npos);
   EXPECT_NE(json.find("\"git_sha\": "), std::string::npos);
   EXPECT_NE(json.find("\"metrics\": ["), std::string::npos);
-  EXPECT_NE(json.find("{\"metric\": \"clone_latency\", \"value\": 0.512"),
+  EXPECT_NE(json.find("{\"metric\": \"clone_latency\", \"value\": 0.5, "
+                      "\"unit\": \"ms\", \"better\": \"lower\", "
+                      "\"kind\": \"deterministic\"}"),
             std::string::npos);
-  EXPECT_NE(json.find("\"unit\": \"ms\""), std::string::npos);
-  EXPECT_NE(json.find("{\"metric\": \"peak_vms\", \"value\": 533,"),
+  EXPECT_NE(json.find("{\"metric\": \"peak_vms\", \"value\": 533, "
+                      "\"unit\": \"vms\", \"better\": \"higher\", "
+                      "\"kind\": \"wallclock\"}"),
             std::string::npos);
   EXPECT_EQ(json.back(), '\n');
 }
@@ -56,21 +62,22 @@ TEST(BenchReportTest, IdenticalReportsSerializeIdentically) {
   BenchReport b("det");
   for (BenchReport* r : {&a, &b}) {
     r->set_seed(7);
-    r->Add("m", 1234.5678, "ns");
+    r->Add("m", 1234.5678, "ns", Better::kLower, Kind::kWallclock);
   }
   EXPECT_EQ(a.ToJson(), b.ToJson());
 }
 
 TEST(BenchReportTest, EscapesQuotesAndBackslashesInStrings) {
   BenchReport report("weird");
-  report.Add("path\\with\"quote", 1.0, "u");
+  report.Add("path\\with\"quote", 1.0, "u", Better::kLower,
+             Kind::kDeterministic);
   const std::string json = report.ToJson();
   EXPECT_NE(json.find("path\\\\with\\\"quote"), std::string::npos);
 }
 
 TEST(BenchReportTest, NonFiniteValuesSerializeAsNull) {
   BenchReport report("nan_check");
-  report.Add("bad", 0.0 / 0.0, "x");
+  report.Add("bad", 0.0 / 0.0, "x", Better::kLower, Kind::kDeterministic);
   const std::string json = report.ToJson();
   EXPECT_NE(json.find("\"value\": null"), std::string::npos);
 }
@@ -82,7 +89,8 @@ TEST(BenchReportTest, WriteJsonHonorsOutputDirOverride) {
 
   BenchReport report("roundtrip");
   report.set_seed(9);
-  report.Add("value_under_test", 3.25, "x");
+  report.Add("value_under_test", 3.25, "x", Better::kHigher,
+             Kind::kDeterministic);
   const std::string path = report.WriteJson();
   unsetenv("POTEMKIN_BENCH_DIR");
 
@@ -91,6 +99,26 @@ TEST(BenchReportTest, WriteJsonHonorsOutputDirOverride) {
   EXPECT_EQ(on_disk, report.ToJson());
   std::remove(path.c_str());
   rmdir(dir_template);
+}
+
+TEST(BenchReportTest, DeclarationNamesRoundTrip) {
+  for (const Better better : {Better::kLower, Better::kHigher}) {
+    Better parsed = better == Better::kLower ? Better::kHigher : Better::kLower;
+    EXPECT_TRUE(ParseBetter(BetterName(better), &parsed));
+    EXPECT_EQ(parsed, better);
+  }
+  for (const Kind kind : {Kind::kDeterministic, Kind::kWallclock}) {
+    Kind parsed =
+        kind == Kind::kWallclock ? Kind::kDeterministic : Kind::kWallclock;
+    EXPECT_TRUE(ParseKind(KindName(kind), &parsed));
+    EXPECT_EQ(parsed, kind);
+  }
+  Better better = Better::kLower;
+  Kind kind = Kind::kDeterministic;
+  EXPECT_FALSE(ParseBetter("up", &better));
+  EXPECT_FALSE(ParseBetter("Lower", &better));
+  EXPECT_FALSE(ParseKind("", &kind));
+  EXPECT_FALSE(ParseKind("wall", &kind));
 }
 
 TEST(BenchReportTest, WriteJsonReportsFailureAsEmptyPath) {

@@ -37,7 +37,7 @@ expect_status("unwritable --out" 2 "${status}")
 expect_contains("unwritable --out" "${err}" "cannot write")
 
 # Clean demo-farm run: exit 0, snapshot written, versioned, alerts section
-# ahead of the metric rows (the string-scan consumers depend on the order).
+# ahead of the metric rows (the fixed, byte-compared snapshot layout).
 execute_process(COMMAND "${METRICS_DUMP}" --out=${WORK_DIR}/snapshot.json
                 RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
 expect_status("demo farm" 0 "${status}")

@@ -20,7 +20,7 @@ TEST(HealthSnapshotTest, JsonCarriesSchemaVersionAndMetricRows) {
   EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"sequence\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"time_ns\": 5000000000"), std::string::npos);
-  // The metric rows share the BENCH report shape, so bench_diff reads both.
+  // The metric rows share the BENCH report shape.
   EXPECT_NE(json.find("{\"metric\": \"gateway.rx.packets\", \"value\": 42, "
                       "\"unit\": \"count\"}"),
             std::string::npos);
@@ -110,8 +110,8 @@ TEST(HealthMonitorTest, HistoryBoundKeepsJsonSchemaValid) {
   }
   ASSERT_EQ(monitor.history().size(), HealthMonitor::kMaxHistory);
   // Every survivor still renders the full versioned layout — eviction must
-  // never leave a snapshot that consumers (bench_diff, the flight recorder)
-  // would reject.
+  // never leave a snapshot that consumers (bench_tool validate, metrics_dump,
+  // the flight recorder) would reject.
   for (const HealthSnapshot& snapshot : {monitor.history().front(),
                                          monitor.history().back()}) {
     const std::string json = snapshot.ToJson();
@@ -120,7 +120,7 @@ TEST(HealthMonitorTest, HistoryBoundKeepsJsonSchemaValid) {
     EXPECT_NE(json.find("\"alerts_schema_version\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"metrics\": ["), std::string::npos);
     EXPECT_NE(json.find("{\"metric\": \"events\""), std::string::npos);
-    // Alerts precede metrics (string-scan consumers depend on the order).
+    // Alerts precede metrics (the fixed, byte-compared layout).
     EXPECT_LT(json.find("\"alerts\""), json.find("\"metrics\""));
     int depth = 0;
     for (char ch : json) {

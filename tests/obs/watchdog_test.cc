@@ -155,8 +155,7 @@ TEST(WatchdogTest, MonitorExportsAlertsSectionBeforeMetrics) {
   EXPECT_DOUBLE_EQ(paged.alerts[0].value, 500.0);
   EXPECT_DOUBLE_EQ(paged.alerts[0].threshold, 100.0);
   const std::string json = paged.ToJson();
-  // The alert object precedes the "metrics" key so string-scanning consumers
-  // (bench_diff, metrics_dump) never mistake it for a metric row.
+  // The alert object precedes the "metrics" key (the fixed snapshot layout).
   const size_t alerts_at = json.find("\"alerts\"");
   const size_t metrics_at = json.find("\"metrics\"");
   ASSERT_NE(alerts_at, std::string::npos);

@@ -19,11 +19,11 @@
 // flag silently running the demo farm once cost someone an afternoon.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/base/flags.h"
+#include "src/base/json_util.h"
 #include "src/base/strings.h"
 #include "src/base/table.h"
 #include "src/core/honeyfarm.h"
@@ -53,120 +53,52 @@ void PrintSnapshot(const HealthSnapshot& snapshot) {
   std::printf("%zu metrics\n", snapshot.metrics.size());
 }
 
-// ---- Existing-file mode: the same deliberate string scan as bench_diff ----
+// ---- Existing-file mode ----
 
-std::string ReadAll(const char* path) {
-  std::FILE* file = std::fopen(path, "rb");
-  if (file == nullptr) {
-    return "";
+// Reads a snapshot file into `out`; returns why it could not, or "".
+std::string ParseSnapshotFile(const std::string& path, HealthSnapshot* out) {
+  JsonValue json;
+  std::string error;
+  if (!ReadJsonFile(path, &json, &error)) {
+    return error;
   }
-  std::string text;
-  char buffer[4096];
-  size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    text.append(buffer, got);
-  }
-  std::fclose(file);
-  return text;
-}
-
-std::string FindStringValue(const std::string& text, const std::string& key,
-                            size_t from, size_t until) {
-  const std::string needle = "\"" + key + "\"";
-  const size_t at = text.find(needle, from);
-  if (at == std::string::npos || at >= until) {
-    return "";
-  }
-  size_t cursor = text.find('"', text.find(':', at + needle.size()));
-  if (cursor == std::string::npos || cursor >= until) {
-    return "";
-  }
-  std::string value;
-  for (++cursor; cursor < until && text[cursor] != '"'; ++cursor) {
-    value += text[cursor];
-  }
-  return value;
-}
-
-double FindNumberValue(const std::string& text, const std::string& key,
-                       size_t from, size_t until) {
-  const std::string needle = "\"" + key + "\"";
-  const size_t at = text.find(needle, from);
-  if (at == std::string::npos || at >= until) {
-    return std::strtod("nan", nullptr);
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
-int ParseSnapshotFile(const char* path, HealthSnapshot* out) {
-  HealthSnapshot& snapshot = *out;
-  const std::string text = ReadAll(path);
-  if (text.empty()) {
-    std::fprintf(stderr, "metrics_dump: cannot read %s\n", path);
-    return 2;
-  }
-  const size_t metrics_at = text.find("\"metrics\"");
-  const size_t header = metrics_at == std::string::npos ? text.size() : metrics_at;
-  snapshot.source = FindStringValue(text, "snapshot", 0, header);
-  if (snapshot.source.empty() || metrics_at == std::string::npos) {
-    std::fprintf(stderr, "metrics_dump: %s is not a HealthSnapshot (missing "
-                 "\"snapshot\"/\"metrics\")\n", path);
-    return 2;
-  }
-  const double version = FindNumberValue(text, "schema_version", 0, header);
-  if (!(version == static_cast<double>(HealthSnapshot::kSchemaVersion))) {
-    std::fprintf(stderr,
-                 "metrics_dump: %s has unsupported snapshot schema_version %g "
-                 "(understood: %d)\n",
-                 path, version, HealthSnapshot::kSchemaVersion);
-    return 2;
-  }
-  const double sequence = FindNumberValue(text, "sequence", 0, header);
-  const double time_ns = FindNumberValue(text, "time_ns", 0, header);
-  snapshot.sequence = sequence == sequence ? static_cast<uint64_t>(sequence) : 0;
-  snapshot.time_ns = time_ns == time_ns ? static_cast<int64_t>(time_ns) : 0;
-  // Alert rows live between "alerts" and "metrics" (the writer guarantees the
-  // order); --prom re-exports them as potemkin_alert_firing series.
-  const size_t alerts_at = text.find("\"alerts\"");
-  if (alerts_at != std::string::npos && alerts_at < metrics_at) {
-    for (size_t open = text.find('{', alerts_at);
-         open != std::string::npos && open < metrics_at;
-         open = text.find('{', open + 1)) {
-      const size_t close = text.find('}', open);
-      if (close == std::string::npos || close > metrics_at) {
-        break;
-      }
-      AlertSample alert;
-      alert.rule = FindStringValue(text, "alert", open, close);
-      alert.metric = FindStringValue(text, "metric", open, close);
-      alert.value = FindNumberValue(text, "value", open, close);
-      alert.threshold = FindNumberValue(text, "threshold", open, close);
-      alert.firing = true;
-      if (!alert.rule.empty()) {
-        snapshot.alerts.push_back(std::move(alert));
-      }
-      open = close;
+  JsonFields fields(json);
+  out->source = fields.String("snapshot");
+  const double version = fields.Number("schema_version");
+  out->sequence = static_cast<uint64_t>(fields.Number("sequence"));
+  out->time_ns = static_cast<int64_t>(fields.Number("time_ns"));
+  // --prom re-exports the alert rows as potemkin_alert_firing series.
+  for (const JsonValue& row : fields.Array("alerts")) {
+    JsonFields alert_fields(row);
+    AlertSample& alert = out->alerts.emplace_back();
+    alert.rule = alert_fields.String("alert");
+    alert.metric = alert_fields.String("metric");
+    alert.value = alert_fields.NumberOrNull("value");
+    alert.threshold = alert_fields.NumberOrNull("threshold");
+    alert.firing = alert_fields.Bool("firing");
+    alert.since_ns = static_cast<int64_t>(alert_fields.Number("since_ns"));
+    if (!alert_fields.ok()) {
+      return "malformed alert entry: " + alert_fields.error();
     }
   }
-  for (size_t open = text.find('{', metrics_at); open != std::string::npos;
-       open = text.find('{', open + 1)) {
-    const size_t close = text.find('}', open);
-    if (close == std::string::npos) {
-      break;
+  for (const JsonValue& row : fields.Array("metrics")) {
+    JsonFields metric_fields(row);
+    MetricRegistry::Sample& sample = out->metrics.emplace_back();
+    sample.name = metric_fields.String("metric");
+    sample.value = metric_fields.Number("value");
+    sample.unit = metric_fields.String("unit");
+    if (!metric_fields.ok()) {
+      return "malformed metric entry: " + metric_fields.error();
     }
-    MetricRegistry::Sample sample;
-    sample.name = FindStringValue(text, "metric", open, close);
-    sample.value = FindNumberValue(text, "value", open, close);
-    sample.unit = FindStringValue(text, "unit", open, close);
-    if (sample.name.empty() || sample.value != sample.value) {
-      std::fprintf(stderr, "metrics_dump: malformed metric entry in %s\n", path);
-      return 2;
-    }
-    snapshot.metrics.push_back(std::move(sample));
-    open = close;
   }
-  return 0;
+  if (!fields.ok()) {
+    return "not a HealthSnapshot: " + fields.error();
+  }
+  if (version != HealthSnapshot::kSchemaVersion) {
+    return StrFormat("unsupported snapshot schema_version %g (understood: %d)",
+                     version, HealthSnapshot::kSchemaVersion);
+  }
+  return "";
 }
 
 // ---- Demo-farm mode ----
@@ -243,18 +175,24 @@ int Run(int argc, char** argv) {
   }
   if (!flags.positional().empty()) {
     HealthSnapshot snapshot;
-    const int status = ParseSnapshotFile(flags.positional()[0].c_str(), &snapshot);
-    if (status == 0) {
-      if (flags.GetBool("prom", false)) {
-        std::printf("%s", PrometheusTextFor(snapshot).c_str());
-      } else {
-        PrintSnapshot(snapshot);
-      }
+    const std::string& input = flags.positional()[0];
+    const std::string error = ParseSnapshotFile(input, &snapshot);
+    if (!error.empty()) {
+      std::fprintf(stderr, "metrics_dump: %s: %s\n", input.c_str(),
+                   error.c_str());
+      return 2;
     }
-    if (status == 0 && !out.empty()) {
+    if (flags.GetBool("prom", false)) {
+      std::printf("%s", PrometheusTextFor(snapshot).c_str());
+    } else {
+      PrintSnapshot(snapshot);
+    }
+    if (!out.empty()) {
       // File mode honors --out too: copy the (validated) snapshot through.
-      const std::string text = ReadAll(flags.positional()[0].c_str());
-      std::FILE* file = std::fopen(out.c_str(), "wb");
+      std::string text;
+      std::FILE* file = ReadFileToString(input, &text)
+                            ? std::fopen(out.c_str(), "wb")
+                            : nullptr;
       if (file == nullptr) {
         std::fprintf(stderr, "metrics_dump: cannot write %s\n", out.c_str());
         return 2;
@@ -263,7 +201,7 @@ int Run(int argc, char** argv) {
       std::fclose(file);
       std::fprintf(stderr, "metrics_dump: wrote %s\n", out.c_str());
     }
-    return status;
+    return 0;
   }
 
   const HealthSnapshot snapshot = RunDemoFarm();
