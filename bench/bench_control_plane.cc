@@ -104,7 +104,9 @@ FailoverResult RunFailover() {
   }
   farm.RunFor(Duration::Seconds(5.0));
   const Ipv4Address victim = kPrefix.AddressAt(0);
-  const Binding* binding = farm.gateway().bindings().Find(victim);
+  ShardedGateway& gateway = farm.sharded_gateway();
+  const Binding* binding =
+      gateway.shard(gateway.ShardOf(victim)).bindings().Find(victim);
   const HostId crashed = binding->host;
 
   uint64_t answered = 0;
@@ -120,7 +122,7 @@ FailoverResult RunFailover() {
   }
   result.rebind_s = (farm.loop().Now() - started).seconds();
   result.invalidated = controller.stats().failovers > 0
-                           ? farm.gateway().stats().vms_retired
+                           ? gateway.AggregateStats().vms_retired
                            : 0;
   return result;
 }

@@ -4,16 +4,12 @@
 // implementation as the binding table grows from 1 K to 64 K entries — the paper's
 // gateway had to route for an entire /16 at line rate — plus the relative cost of
 // the miss path (clone trigger), the reflection path, and the pending-queue vs
-// drop ablation.
-//
-// The second half (F4b) sweeps the sharded gateway in partitioned mode — one
-// real thread per shard draining a pre-binned hit-path workload — across
-// 1/2/4/8 shards and 1 K/8 K/64 K bindings, writing the scaling surface to
-// BENCH_gateway_shard_scaling.json.
+// drop ablation. Everything runs on one thread: the gateway is one logical
+// dispatcher, and the farm is single-threaded at any shard count (F4b, the
+// multi-threaded shard sweep, is retired; see EXPERIMENTS.md).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -24,7 +20,6 @@
 #include "src/base/strings.h"
 #include "src/base/table.h"
 #include "src/gateway/gateway.h"
-#include "src/gateway/sharded_gateway.h"
 #include "src/obs/observability.h"
 
 namespace potemkin {
@@ -212,60 +207,6 @@ double MeasureReflectPps(uint64_t packets) {
          std::chrono::duration<double>(end - start).count();
 }
 
-// F4b: hit-path throughput of the partitioned sharded gateway, one real thread
-// per shard. Bindings are populated single-threaded (deterministic barrier
-// merge), then a pre-binned workload — every packet already targeting its
-// owning shard, the telescope steady state — is drained in parallel.
-double MeasureShardedHitPathPps(uint32_t shards, uint64_t bindings,
-                                uint64_t packets, size_t burst) {
-  std::vector<std::unique_ptr<NullBackend>> backends;
-  std::vector<GatewayBackend*> raw;
-  for (uint32_t s = 0; s < shards; ++s) {
-    backends.push_back(std::make_unique<NullBackend>(16));
-    raw.push_back(backends.back().get());
-  }
-  ShardedGatewayConfig config;
-  config.gateway.farm_prefix = kFarm;
-  config.shard_count = shards;
-  config.reserve_bindings_per_shard = bindings / shards + 64;
-  ShardedGateway gateway(config, std::move(raw));
-
-  for (uint64_t i = 0; i < bindings; ++i) {
-    gateway.HandleInbound(
-        InboundProbe(kFarm.AddressAt(i), static_cast<uint32_t>(i)));
-  }
-  gateway.RunUntilIdle();
-  PK_CHECK(gateway.live_bindings() == bindings)
-      << "populate fell short: " << gateway.live_bindings();
-
-  // Same workload distribution as MeasureHitPathPps (Rng(5) over the live
-  // bindings), binned by owning shard with arrival order preserved.
-  Rng rng(5);
-  std::vector<std::vector<Packet>> per_shard(shards);
-  for (auto& bin : per_shard) {
-    bin.reserve(packets / shards + packets / 8);
-  }
-  for (uint64_t i = 0; i < packets; ++i) {
-    const Ipv4Address dst = kFarm.AddressAt(rng.NextBelow(bindings));
-    per_shard[gateway.ShardOf(dst)].push_back(
-        InboundProbe(dst, static_cast<uint32_t>(i)));
-  }
-
-  const GatewayStats before = gateway.AggregateStats();
-  const auto start = std::chrono::steady_clock::now();
-  const ShardedGateway::DrainResult result =
-      gateway.DrainParallel(&per_shard, burst);
-  const auto end = std::chrono::steady_clock::now();
-  const GatewayStats after = gateway.AggregateStats();
-
-  const uint64_t delivered = after.inbound_delivered - before.inbound_delivered;
-  PK_CHECK(result.packets_fed == packets) << "drain consumed " << result.packets_fed;
-  PK_CHECK(delivered == packets)
-      << "sharded hit path under-delivered: " << delivered;
-  return static_cast<double>(packets) /
-         std::chrono::duration<double>(end - start).count();
-}
-
 void Run(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
   const uint64_t packets = flags.GetUint("packets", 300000);
@@ -307,39 +248,7 @@ void Run(int argc, char** argv) {
               "table grows to a full /16 — forwarding is not the bottleneck. The "
               "expensive part of a miss is the flash clone it triggers (~0.5 s of "
               "control-plane work, deliberately excluded here; see T1/F6), so "
-              "clone rate bounds how fast the farm absorbs NEW addresses.\n\n");
-
-  std::printf("=== F4b: sharded gateway hit-path scaling (1 thread per shard) ===\n\n");
-  constexpr uint32_t kShardCounts[] = {1, 2, 4, 8};
-  constexpr uint64_t kBindingCounts[] = {1000, 8000, 64000};
-  BenchReport scaling("gateway_shard_scaling");
-  scaling.set_shards(8);  // largest topology exercised below
-  Table scaling_table({"live bindings", "1 shard (pkts/s)", "2 shards",
-                       "4 shards", "8 shards", "4-shard speedup"});
-  for (const uint64_t bindings : kBindingCounts) {
-    std::vector<std::string> row{WithCommas(bindings)};
-    double base_pps = 0.0;
-    double four_pps = 0.0;
-    for (const uint32_t shards : kShardCounts) {
-      const double pps =
-          MeasureShardedHitPathPps(shards, bindings, packets, /*burst=*/64);
-      if (shards == 1) base_pps = pps;
-      if (shards == 4) four_pps = pps;
-      row.push_back(WithCommas(static_cast<uint64_t>(pps)));
-      scaling.Add(StrFormat("parallel_pps_%u_shards_%llu_bindings", shards,
-                            static_cast<unsigned long long>(bindings)),
-                  pps, "pkts/s", Better::kHigher, Kind::kWallclock);
-    }
-    row.push_back(StrFormat("%.2fx", four_pps / base_pps));
-    scaling_table.AddRow(row);
-  }
-  scaling.WriteJson();
-  std::printf("%s\n", scaling_table.ToAscii().c_str());
-  std::printf("shape check: per-shard tables and lock-free handoff keep shards "
-              "independent on the hit path, so throughput scales with shard "
-              "count until the host runs out of cores, and stays flat as the "
-              "binding table grows 64x — the partitioned index never leaves a "
-              "shard's cache.\n");
+              "clone rate bounds how fast the farm absorbs NEW addresses.\n");
 }
 
 }  // namespace

@@ -69,8 +69,9 @@ Cell RunCase(bool two_phase, bool queue_pending, const Flags& flags) {
   }
   cell.handshakes = worm.stats().handshakes_completed;
   cell.scans = worm.stats().scans_sent;
-  cell.queued = farm.gateway().stats().inbound_queued;
-  cell.dropped_cloning = farm.gateway().stats().inbound_dropped_cloning;
+  const GatewayStats gateway = farm.sharded_gateway().AggregateStats();
+  cell.queued = gateway.inbound_queued;
+  cell.dropped_cloning = gateway.inbound_dropped_cloning;
   return cell;
 }
 

@@ -453,8 +453,8 @@ void BM_LedgerAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_LedgerAppend);
 
-// Adjacent counters in one registry, hammered from N threads — the sharded
-// gateway's exact layout (each shard's hot counters register back to back).
+// Adjacent counters in one registry, hammered from N threads (each gateway
+// shard's hot counters register back to back, so this is their layout).
 // With the value cells cache-line aligned, per-op cost should stay flat from
 // 1 to 8 threads; false sharing would show as superlinear per-op growth.
 struct AdjacentCounterBed {

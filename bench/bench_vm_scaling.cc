@@ -54,8 +54,9 @@ ScalingResult RunOnce(const std::vector<TraceRecord>& trace, Ipv4Prefix prefix,
   ScalingResult result;
   result.timeout_s = timeout.seconds();
   result.clones = farm.total_clones_completed();
-  result.retired = farm.gateway().stats().vms_retired;
-  result.capacity_drops = farm.gateway().stats().no_capacity_drops;
+  const GatewayStats gateway = farm.sharded_gateway().AggregateStats();
+  result.retired = gateway.vms_retired;
+  result.capacity_drops = gateway.no_capacity_drops;
   double sum = 0;
   for (const auto& sample : farm.samples()) {
     result.population.Record(sample.time, static_cast<double>(sample.live_vms));

@@ -75,9 +75,10 @@ PolicyResult RunPolicy(const std::string& name, OutboundMode mode,
   PolicyResult result;
   result.name = name;
   result.infections = farm.epidemic().total_infections();
-  result.escapes = farm.gateway().containment().stats().escapes_from_infected;
+  result.escapes =
+      farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected;
   result.egress = farm.egress_packet_count();
-  result.reflections = farm.gateway().stats().reflections_injected;
+  result.reflections = farm.sharded_gateway().AggregateStats().reflections_injected;
   result.curve = farm.epidemic().CumulativeSeries();
   const Duration to_half = farm.epidemic().TimeToFraction(
       0.5, std::max<uint64_t>(1, result.infections));

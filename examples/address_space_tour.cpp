@@ -23,13 +23,13 @@ namespace {
 void Banner(const char* text) { std::printf("\n== %s ==\n", text); }
 
 void ShowFarm(Honeyfarm& farm) {
+  const GatewayStats stats = farm.sharded_gateway().AggregateStats();
   std::printf("   live bindings: %zu | live VMs: %llu | reflections: %llu | "
               "dns answers: %llu\n",
-              farm.gateway().bindings().size(),
+              farm.sharded_gateway().live_bindings(),
               static_cast<unsigned long long>(farm.TotalLiveVms()),
-              static_cast<unsigned long long>(
-                  farm.gateway().stats().reflections_injected),
-              static_cast<unsigned long long>(farm.gateway().stats().dns_responses));
+              static_cast<unsigned long long>(stats.reflections_injected),
+              static_cast<unsigned long long>(stats.dns_responses));
 }
 
 }  // namespace
@@ -69,7 +69,9 @@ int main(int argc, char** argv) {
   Banner("scene 2: outbound connection — reflected back into the farm");
   // Grab the VM at scattered[0] and make it "attack" an external address.
   const Ipv4Address attacker_ip = prefix.AddressAt(scattered[0]);
-  const Binding* attacker = farm.gateway().bindings().Find(attacker_ip);
+  ShardedGateway& gateway = farm.sharded_gateway();
+  const Binding* attacker =
+      gateway.shard(gateway.ShardOf(attacker_ip)).bindings().Find(attacker_ip);
   if (attacker == nullptr) {
     std::printf("   (unexpected: no binding)\n");
     return 1;
@@ -120,7 +122,7 @@ int main(int argc, char** argv) {
   std::printf("\nTour complete. Peak bindings %llu of %s addresses; zero packets "
               "escaped during reflection.\n",
               static_cast<unsigned long long>(
-                  farm.gateway().bindings().stats().peak_live),
+                  farm.sharded_gateway().peak_live_bindings()),
               WithCommas(prefix.NumAddresses()).c_str());
   return 0;
 }

@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
   const std::string policy = flags.GetString("policy", "reflect");
   const bool allow_fetch = flags.GetBool("allow-fetch", false);
   const std::string out_dir = flags.GetString("out", "");
-  const bool write_bench = !flags.GetBool("no-bench", false);
+  const bool write_bench = flags.GetBool("bench", true);
 
   OutboundMode mode = OutboundMode::kReflect;
   if (policy == "open") {

@@ -39,7 +39,7 @@ const char* Usage() {
       "  --filter-scanners  shed load from flagged scanners\n"
       "  --optimized-cp   optimized clone control plane (42ms vs 520ms)\n"
       "  --workers N      control-plane workers per host (default 4)\n"
-      "  --shards N       gateway shards, power of two (default: machine-sized)\n"
+      "  --shards N       gateway shards, power of two (default 1)\n"
       "  --forensics DIR  snapshot infected VMs at recycle time\n"
       "  --gre            deliver traffic via GRE tunnel termination\n"
       "  --seed S         experiment seed (default 42)\n";
@@ -86,10 +86,9 @@ int main(int argc, char** argv) {
       Duration::Seconds(flags.GetDouble("timeout-s", 5.0));
   config.gateway.recycle.infected_hold = Duration::Minutes(10);
   config.gateway.recycle.max_lifetime = Duration::Zero();
-  // Machine-sized gateway topology: 1 shard on single-core hosts (stdout
-  // byte-identical to the unsharded farm), a power of two elsewhere.
-  config.gateway_shards =
-      static_cast<uint32_t>(flags.GetUint("shards", DefaultGatewayShards()));
+  // Gateway shards (power of two). The default of 1 keeps stdout independent
+  // of the host; any explicit count gives the same output on every host.
+  config.gateway_shards = static_cast<uint32_t>(flags.GetUint("shards", 1));
 
   Honeyfarm farm(config);
   if (config.gateway_shards > 1) {
@@ -168,7 +167,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- Report ----
-  const GatewayStats& g = farm.gateway().stats();
+  const GatewayStats g = farm.sharded_gateway().AggregateStats();
   const ContainmentStats c = farm.sharded_gateway().AggregateContainmentStats();
   std::printf("\n---- gateway ----\n");
   Table gw({"metric", "count"});
@@ -192,14 +191,15 @@ int main(int argc, char** argv) {
 
   std::printf("\n---- farm ----\n");
   const FarmSample final_sample = farm.SampleNow();
+  const uint64_t peak_bindings = farm.sharded_gateway().peak_live_bindings();
   std::printf("peak bindings: %s of %s addresses (%.0fx reduction)\n",
-              WithCommas(farm.gateway().bindings().stats().peak_live).c_str(),
+              WithCommas(peak_bindings).c_str(),
               WithCommas(prefix.NumAddresses()).c_str(),
               static_cast<double>(prefix.NumAddresses()) /
-                  std::max<uint64_t>(1, farm.gateway().bindings().stats().peak_live));
+                  std::max<uint64_t>(1, peak_bindings));
   std::printf("clones completed: %s | scanners flagged: %s\n",
               WithCommas(farm.total_clones_completed()).c_str(),
-              WithCommas(farm.gateway().scan_detector().scanners_flagged()).c_str());
+              WithCommas(farm.sharded_gateway().scanners_flagged()).c_str());
   std::printf("memory in use: %s | per-VM delta mean: %s | cpu: %.1f%%\n",
               HumanBytes(final_sample.used_frames * kPageSize).c_str(),
               final_sample.live_vms

@@ -84,12 +84,12 @@ int main(int argc, char** argv) {
 
   // 4. Idle out and watch the recycler reclaim the VM.
   farm.RunFor(Duration::Seconds(10.0));
+  const GatewayStats stats = farm.sharded_gateway().AggregateStats();
   std::printf("[%7.3fs]    after idle timeout: live VMs = %llu, recycled = %llu\n",
               farm.loop().Now().seconds(),
               static_cast<unsigned long long>(farm.TotalLiveVms()),
-              static_cast<unsigned long long>(farm.gateway().stats().vms_retired));
+              static_cast<unsigned long long>(stats.vms_retired));
 
-  const GatewayStats& stats = farm.gateway().stats();
   std::printf("\nGateway summary: %llu inbound, %llu delivered, %llu clones, "
               "%llu egress\n",
               static_cast<unsigned long long>(stats.inbound_packets),

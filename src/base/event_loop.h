@@ -97,8 +97,8 @@ class EventLoop {
   // Timestamp of the earliest pending event without executing it, or
   // TimePoint::Max() when no events are pending. Non-const: peeking may flush
   // the staging buffer into a sorted run (it never pops or reorders anything).
-  // The sharded gateway's barrier-merge driver uses this to advance multiple
-  // shard loops in lockstep virtual-time ticks.
+  // Lets a driver that steps the loop itself (the farm benchmark's traced
+  // replay) stop at a virtual-time boundary without running past it.
   TimePoint NextEventTime();
 
   bool Empty() const { return live_events_ == 0; }

@@ -1,5 +1,6 @@
 #include "src/base/flags.h"
 
+#include "src/base/log.h"
 #include "src/base/strings.h"
 
 namespace potemkin {
@@ -33,7 +34,17 @@ Flags Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
-bool Flags::Has(const std::string& name) const { return values_.count(name) > 0; }
+const std::string* Flags::Find(const std::string& name) const {
+  // Parse stores `--no-name` as name=false, so a lookup of "no-name" could
+  // never see the flag the user typed.
+  PK_CHECK(!StartsWith(name, "no-"))
+      << "look up --no-" << name.substr(3) << " as GetBool(\"" << name.substr(3)
+      << "\", true)";
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+bool Flags::Has(const std::string& name) const { return Find(name) != nullptr; }
 
 std::vector<std::string> Flags::Names() const {
   std::vector<std::string> names;
@@ -46,40 +57,40 @@ std::vector<std::string> Flags::Names() const {
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* v = Find(name);
+  return v == nullptr ? default_value : *v;
 }
 
 int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) {
+  const std::string* v = Find(name);
+  if (v == nullptr) {
     return default_value;
   }
-  return ParseInt64(it->second).value_or(default_value);
+  return ParseInt64(*v).value_or(default_value);
 }
 
 uint64_t Flags::GetUint(const std::string& name, uint64_t default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) {
+  const std::string* v = Find(name);
+  if (v == nullptr) {
     return default_value;
   }
-  return ParseUint64(it->second).value_or(default_value);
+  return ParseUint64(*v).value_or(default_value);
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) {
+  const std::string* v = Find(name);
+  if (v == nullptr) {
     return default_value;
   }
-  return ParseDouble(it->second).value_or(default_value);
+  return ParseDouble(*v).value_or(default_value);
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) {
+  const std::string* found = Find(name);
+  if (found == nullptr) {
     return default_value;
   }
-  const std::string& v = it->second;
+  const std::string& v = *found;
   if (v == "true" || v == "1" || v == "yes" || v == "on") {
     return true;
   }

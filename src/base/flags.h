@@ -18,6 +18,8 @@ class Flags {
   // Parses argv; never exits. `--help` text is the caller's job via `Describe`.
   static Flags Parse(int argc, char** argv);
 
+  // Every lookup checks that `name` does not start with "no-": `--no-name`
+  // parses as name=false, so read it as GetBool("name", true).
   bool Has(const std::string& name) const;
   std::string GetString(const std::string& name, const std::string& default_value) const;
   int64_t GetInt(const std::string& name, int64_t default_value) const;
@@ -32,6 +34,9 @@ class Flags {
   std::vector<std::string> Names() const;
 
  private:
+  // The stored value of `name`, or null when absent.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

@@ -20,9 +20,10 @@
 // for recycled slots via `head_`). Elements are moved in and out, so move-only
 // payloads (Packet) work; `T` must be default-constructible and nothrow-move.
 //
-// Determinism note: in the gateway's barrier-merge mode the same rings are
-// used from one thread — push/pop order is then plain FIFO program order, so a
-// deterministic schedule stays deterministic.
+// Determinism note: the gateway uses the rings from one thread — push/pop
+// order is then plain FIFO program order, so a deterministic schedule stays
+// deterministic. The atomics cost little there and keep the ring correct for
+// a real producer/consumer pair (its TSan stress test runs one).
 #ifndef SRC_BASE_SPSC_RING_H_
 #define SRC_BASE_SPSC_RING_H_
 

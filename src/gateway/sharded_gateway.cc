@@ -1,7 +1,6 @@
 #include "src/gateway/sharded_gateway.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "src/base/log.h"
 
@@ -13,70 +12,20 @@ bool IsPowerOfTwo(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 }  // namespace
 
-uint32_t DefaultGatewayShards() {
-  const uint32_t cores = std::max(1u, std::thread::hardware_concurrency());
-  uint32_t shards = 1;
-  while (shards * 2 <= std::min(cores, 8u)) {
-    shards *= 2;
-  }
-  return shards;
-}
-
 ShardedGateway::ShardedGateway(EventLoop* loop,
                                const ShardedGatewayConfig& config,
                                GatewayBackend* backend)
-    : mode_(Mode::kSharedLoop) {
+    : loop_(loop) {
   PK_CHECK(IsPowerOfTwo(config.shard_count))
       << "shard_count must be a power of two, got " << config.shard_count;
-  shared_loop_ = loop;
-  BuildShards(config, loop, backend, {});
-  if (shard_count() > 1) {
-    RegisterAggregateProbes(ObsOrDefault(config.gateway.obs).metrics);
-  }
-}
-
-ShardedGateway::ShardedGateway(const ShardedGatewayConfig& config,
-                               std::vector<GatewayBackend*> backends)
-    : mode_(Mode::kPartitioned) {
-  PK_CHECK(IsPowerOfTwo(config.shard_count))
-      << "shard_count must be a power of two, got " << config.shard_count;
-  PK_CHECK(backends.size() == config.shard_count)
-      << "partitioned mode needs one backend per shard";
-  BuildShards(config, nullptr, nullptr, backends);
-}
-
-ShardedGateway::~ShardedGateway() {
-  if (aggregate_registry_ != nullptr) {
-    aggregate_registry_->RemoveProbes(this);
-  }
-  // Member destruction runs in reverse declaration order, which would destroy
-  // the per-shard obs bundles before the Gateways whose destructors
-  // deregister probes from them; tear the shards down first explicitly.
-  shards_.clear();
-  // Same hazard for the rings: pools_ is declared after rings_ (destroyed
-  // first), and an undrained Handoff still holds a Packet whose pool may be a
-  // per-shard pool — recycle those buffers while the pools are alive.
-  rings_.clear();
-  // And for unflushed egress bins, whose packets recycle into per-shard pools.
-  egress_bins_.clear();
-}
-
-void ShardedGateway::BuildShards(const ShardedGatewayConfig& config,
-                                 EventLoop* shared_loop,
-                                 GatewayBackend* shared_backend,
-                                 const std::vector<GatewayBackend*>& backends) {
   const uint32_t n = config.shard_count;
-  rings_.reserve(static_cast<size_t>(n) * n);
-  for (size_t i = 0; i < static_cast<size_t>(n) * n; ++i) {
+  const size_t pairs = static_cast<size_t>(n) * n;
+  rings_.reserve(pairs);
+  for (size_t i = 0; i < pairs; ++i) {
     rings_.push_back(
         std::make_unique<SpscRing<Handoff>>(config.handoff_ring_capacity));
   }
-  partition_ = std::make_unique<std::atomic<bool>[]>(
-      static_cast<size_t>(n) * n);
-  for (size_t i = 0; i < static_cast<size_t>(n) * n; ++i) {
-    partition_[i].store(false, std::memory_order_relaxed);
-  }
-  egress_bins_.resize(n);
+  partition_.assign(pairs, false);
   shards_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     GatewayConfig shard_config = config.gateway;
@@ -90,95 +39,52 @@ void ShardedGateway::BuildShards(const ShardedGatewayConfig& config,
       shard_config.scan_detector.distinct_threshold = std::max<uint32_t>(
           1, config.gateway.scan_detector.distinct_threshold / n);
     }
-    EventLoop* loop = shared_loop;
-    GatewayBackend* backend = shared_backend;
-    if (mode_ == Mode::kPartitioned) {
-      loops_.push_back(std::make_unique<EventLoop>());
-      obs_.push_back(std::make_unique<Observability>());
-      pools_.push_back(std::make_unique<PacketPool>());
-      shard_config.obs = obs_.back().get();
-      loop = loops_.back().get();
-      backend = backends[i];
-    }
     shards_.push_back(std::make_unique<Gateway>(loop, shard_config, backend));
-    if (config.reserve_bindings_per_shard > 0) {
-      shards_.back()->bindings().Reserve(config.reserve_bindings_per_shard);
-    }
   }
   if (n > 1) {
     for (uint32_t i = 0; i < n; ++i) {
       InstallHandoff(i);
     }
-    // Handoff-fabric distributions, one handle per consuming shard. The
-    // names are farm-wide: in shared-loop mode all handles alias one cell
-    // block; in partitioned mode each shard registry owns its own block and
-    // Stats()/snapshot merges stay per-registry.
-    for (uint32_t i = 0; i < n; ++i) {
-      MetricRegistry& m = mode_ == Mode::kPartitioned
-                              ? obs_[i]->metrics
-                              : ObsOrDefault(config.gateway.obs).metrics;
-      m_ring_occupancy_.push_back(
-          m.RegisterLatency("gateway.handoff.ring_occupancy", "packets"));
-      m_ring_batch_.push_back(
-          m.RegisterLatency("gateway.handoff.batch_packets", "packets"));
-    }
+    MetricRegistry& m = ObsOrDefault(config.gateway.obs).metrics;
+    m_ring_occupancy_ =
+        m.RegisterLatency("gateway.handoff.ring_occupancy", "packets");
+    m_ring_batch_ = m.RegisterLatency("gateway.handoff.batch_packets", "packets");
+    RegisterAggregateProbes(m);
+  }
+}
+
+ShardedGateway::~ShardedGateway() {
+  if (aggregate_registry_ != nullptr) {
+    aggregate_registry_->RemoveProbes(this);
   }
 }
 
 void ShardedGateway::InstallHandoff(uint32_t from) {
-  if (mode_ == Mode::kSharedLoop) {
-    shards_[from]->set_shard_handoff(
-        [this, from](Packet packet, uint32_t to,
-                     const Gateway::HandoffContext& ctx) {
-          in_flight_.fetch_add(1);
-          Handoff handoff{std::move(packet), ctx};
-          while (!RingTo(from, to).TryPush(std::move(handoff))) {
-            if (PartitionCut(from, to)) {
-              // Partition with a full ring: the fabric's bounded buffer
-              // overflowed while the path was cut. Drop (the packet recycles
-              // when `handoff` destructs) — draining would tunnel through
-              // the cut, and retrying would spin forever.
-              in_flight_.fetch_sub(1);
-              partition_drops_.fetch_add(1, std::memory_order_relaxed);
-              return;
-            }
-            // Ring full: drain the destination's inbox first so the
-            // overflowing packet keeps its per-pair FIFO position (inline
-            // delivery would let it jump ahead of packets already queued),
-            // then retry into the emptied ring. Single-threaded, and
-            // deliveries are one-hop bounded — once handed off, the
-            // destination is owned and cannot hand off again — so the drain
-            // frees slots and the retry terminates.
-            DrainIncoming(to);
-          }
-          // Drain immediately so shared-loop execution order is a pure
-          // function of the traffic (no-op when a pump is already running).
-          PumpHandoffs();
-        });
-    return;
-  }
   shards_[from]->set_shard_handoff(
       [this, from](Packet packet, uint32_t to,
                    const Gateway::HandoffContext& ctx) {
-        in_flight_.fetch_add(1);
         Handoff handoff{std::move(packet), ctx};
         while (!RingTo(from, to).TryPush(std::move(handoff))) {
           if (PartitionCut(from, to)) {
-            in_flight_.fetch_sub(1);
-            partition_drops_.fetch_add(1, std::memory_order_relaxed);
+            // Partition with a full ring: the fabric's bounded buffer
+            // overflowed while the path was cut. Drop (the packet recycles
+            // when `handoff` destructs) — draining would tunnel through the
+            // cut, and retrying would spin forever.
+            ++partition_drops_;
             return;
           }
-          if (parallel_active_.load(std::memory_order_relaxed)) {
-            // Backpressure without deadlock: the peer may itself be blocked
-            // pushing toward us, so make progress on our own inbox and retry.
-            DrainIncoming(from);
-            std::this_thread::yield();
-          } else {
-            // Single-threaded partitioned driver owns every ring: drain the
-            // destination (preserving per-pair FIFO) and retry.
-            DrainIncoming(to);
-          }
+          // Ring full: drain the destination's inbox first so the
+          // overflowing packet keeps its per-pair FIFO position (inline
+          // delivery would let it jump ahead of packets already queued),
+          // then retry into the emptied ring. Deliveries are one-hop
+          // bounded — once handed off, the destination is owned and cannot
+          // hand off again — so the drain frees slots and the retry
+          // terminates.
+          DrainIncoming(to);
         }
+        // Drain immediately so execution order is a pure function of the
+        // traffic (no-op when a pump is already running).
+        PumpHandoffs();
       });
 }
 
@@ -197,18 +103,12 @@ size_t ShardedGateway::DrainIncoming(uint32_t to) {
     size_t popped = 0;
     Handoff handoff;
     while (ring.TryPop(&handoff)) {
-      if (mode_ == Mode::kPartitioned) {
-        // Adopt into the consuming shard's pool so the eventual Release never
-        // races another thread's freelist.
-        handoff.packet.set_pool(pools_[to].get());
-      }
       shards_[to]->HandleHandoff(std::move(handoff.packet), handoff.ctx);
-      in_flight_.fetch_sub(1);
       ++popped;
     }
     if (popped > 0) {
-      m_ring_occupancy_[to].Record(occupancy);
-      m_ring_batch_[to].Record(popped);
+      m_ring_occupancy_.Record(occupancy);
+      m_ring_batch_.Record(popped);
       delivered += popped;
     }
   }
@@ -320,47 +220,9 @@ size_t ShardedGateway::ReclaimMostIdle(size_t batch) {
 }
 
 void ShardedGateway::set_egress_sink(Gateway::EgressSink sink) {
-  if (mode_ == Mode::kSharedLoop) {
-    // Inline delivery, deterministic: the Honeyfarm's egress hook (seed
-    // handshakes, worm monitors) relies on seeing the packet synchronously.
-    for (auto& shard : shards_) {
-      shard->set_egress_sink(sink);
-    }
-    return;
+  for (auto& shard : shards_) {
+    shard->set_egress_sink(sink);
   }
-  // Partitioned: shard s appends to its own bin — no cross-thread contention
-  // on the user callback — and `sink` becomes the merge facade.
-  merged_egress_ = std::move(sink);
-  for (uint32_t s = 0; s < shard_count(); ++s) {
-    shards_[s]->set_egress_sink(
-        [this, s](Packet packet) { egress_bins_[s].push_back(std::move(packet)); });
-  }
-}
-
-void ShardedGateway::set_shard_egress_sink(uint32_t i,
-                                           Gateway::EgressSink sink) {
-  PK_CHECK(mode_ == Mode::kPartitioned);
-  shards_[i]->set_egress_sink(std::move(sink));
-}
-
-size_t ShardedGateway::FlushEgress() {
-  if (merged_egress_ == nullptr) {
-    size_t dropped = 0;
-    for (auto& bin : egress_bins_) {
-      dropped += bin.size();
-      bin.clear();  // recycle: egress with no sink is discarded, as before
-    }
-    return dropped;
-  }
-  size_t delivered = 0;
-  for (auto& bin : egress_bins_) {
-    for (auto& packet : bin) {
-      merged_egress_(std::move(packet));
-      ++delivered;
-    }
-    bin.clear();
-  }
-  return delivered;
 }
 
 size_t ShardedGateway::CountHostBindings(HostId host) {
@@ -411,106 +273,7 @@ size_t ShardedGateway::CountMisplacedReflectNat() const {
 void ShardedGateway::SetHandoffPartition(uint32_t from, uint32_t to,
                                          bool cut) {
   PK_CHECK(from < shard_count() && to < shard_count() && from != to);
-  partition_[from * shards_.size() + to].store(cut, std::memory_order_relaxed);
-}
-
-EventLoop& ShardedGateway::shard_loop(uint32_t i) {
-  PK_CHECK(mode_ == Mode::kPartitioned);
-  return *loops_[i];
-}
-
-Observability& ShardedGateway::shard_obs(uint32_t i) {
-  PK_CHECK(mode_ == Mode::kPartitioned);
-  return *obs_[i];
-}
-
-PacketPool& ShardedGateway::shard_pool(uint32_t i) {
-  PK_CHECK(mode_ == Mode::kPartitioned);
-  return *pools_[i];
-}
-
-void ShardedGateway::RunUntilIdle() {
-  PK_CHECK(mode_ == Mode::kPartitioned);
-  for (;;) {
-    PumpHandoffs();
-    // Globally earliest pending event wins; shard id breaks ties, so the
-    // merged schedule is total-ordered and the run is deterministic.
-    TimePoint best = TimePoint::Max();
-    uint32_t who = 0;
-    for (uint32_t i = 0; i < shard_count(); ++i) {
-      const TimePoint t = loops_[i]->NextEventTime();
-      if (t < best) {
-        best = t;
-        who = i;
-      }
-    }
-    if (best == TimePoint::Max()) {
-      break;  // every loop idle; rings were just drained
-    }
-    loops_[who]->Step();
-  }
-  FlushEgress();
-}
-
-ShardedGateway::DrainResult ShardedGateway::DrainParallel(
-    std::vector<std::vector<Packet>>* per_shard, size_t burst) {
-  PK_CHECK(mode_ == Mode::kPartitioned);
-  PK_CHECK(per_shard != nullptr && per_shard->size() == shards_.size());
-  PK_CHECK(burst > 0);
-  const uint32_t n = shard_count();
-  DrainResult result;
-  for (const auto& input : *per_shard) {
-    result.packets_fed += input.size();
-  }
-  const uint64_t handoffs_before = AggregateStats().handoffs_in;
-  std::atomic<uint32_t> active_producers{n};
-  parallel_active_.store(true);
-  std::vector<std::thread> workers;
-  workers.reserve(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    workers.emplace_back([this, s, burst, per_shard, &active_producers] {
-      std::vector<Packet>& input = (*per_shard)[s];
-      PacketPool* pool = pools_[s].get();
-      size_t pos = 0;
-      bool producing = true;
-      for (;;) {
-        if (pos < input.size()) {
-          const size_t count = std::min(burst, input.size() - pos);
-          // Workload frames were built on the driver thread; adopt them here
-          // so their eventual release recycles into this shard's pool.
-          for (size_t i = 0; i < count; ++i) {
-            input[pos + i].set_pool(pool);
-          }
-          shards_[s]->HandleInboundBatch(
-              std::span<Packet>(&input[pos], count));
-          pos += count;
-        } else if (producing) {
-          producing = false;
-          active_producers.fetch_sub(1);
-        }
-        DrainIncoming(s);
-        if (!producing && active_producers.load() == 0 &&
-            in_flight_.load() == 0) {
-          // No input left anywhere, nothing enqueued, nothing mid-delivery
-          // (in_flight_ only reaches 0 after the consuming HandleHandoff
-          // returned, so no thread can still mint new handoffs).
-          break;
-        }
-        if (!producing) {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (auto& worker : workers) {
-    worker.join();
-  }
-  parallel_active_.store(false);
-  // Workers binned their egress without contending; merge on the (now sole)
-  // driver thread so the user sink still runs single-threaded.
-  FlushEgress();
-  result.handoffs = AggregateStats().handoffs_in - handoffs_before;
-  return result;
+  partition_[from * shards_.size() + to] = cut;
 }
 
 GatewayStats ShardedGateway::AggregateStats() const {
@@ -569,6 +332,22 @@ size_t ShardedGateway::live_bindings() const {
   return total;
 }
 
+uint64_t ShardedGateway::peak_live_bindings() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->bindings().stats().peak_live;
+  }
+  return total;
+}
+
+uint64_t ShardedGateway::scanners_flagged() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->scan_detector().scanners_flagged();
+  }
+  return total;
+}
+
 void ShardedGateway::RegisterAggregateProbes(MetricRegistry& m) {
   aggregate_registry_ = &m;
   // Shards publish their probes under "gateway.s<i>."; these rollups restore
@@ -587,11 +366,7 @@ void ShardedGateway::RegisterAggregateProbes(MetricRegistry& m) {
     return worst;
   });
   m.RegisterProbe(this, "gateway.bindings.peak_live", "vms", [this] {
-    uint64_t total = 0;
-    for (auto& g : shards_) {
-      total += g->bindings().stats().peak_live;
-    }
-    return static_cast<double>(total);
+    return static_cast<double>(peak_live_bindings());
   });
   m.RegisterProbe(this, "gateway.containment.allowed", "count", [this] {
     uint64_t total = 0;
@@ -632,9 +407,7 @@ void ShardedGateway::RegisterAggregateProbes(MetricRegistry& m) {
     return static_cast<double>(total);
   });
   m.RegisterProbe(this, "gateway.scan.scanners_flagged", "count", [this] {
-    uint64_t total = 0;
-    for (auto& g : shards_) total += g->scan_detector().scanners_flagged();
-    return static_cast<double>(total);
+    return static_cast<double>(scanners_flagged());
   });
   m.RegisterProbe(this, "gateway.recycle.retired", "vms", [this] {
     uint64_t total = 0;
@@ -663,7 +436,7 @@ void ShardedGateway::RegisterAggregateProbes(MetricRegistry& m) {
     return static_cast<double>(total);
   });
   m.RegisterProbe(this, "gateway.recycle.backlog", "vms", [this] {
-    const TimePoint now = shared_loop_->Now();
+    const TimePoint now = loop_->Now();
     size_t backlog = 0;
     for (auto& g : shards_) {
       g->bindings().ForEach([&](Binding& binding) {

@@ -89,14 +89,6 @@ class Packet {
   size_t size() const { return bytes_.size(); }
   bool empty() const { return bytes_.empty(); }
 
-  // Pool this packet's buffer recycles into on destruction (null = plain heap
-  // free). Pools are thread-affine: when a packet crosses a shard boundary the
-  // consumer re-targets it at its own pool with `set_pool`, so buffers always
-  // recycle into the pool owned by the thread that frees them. Buffers migrate
-  // between per-shard pools with the traffic — that is by design.
-  PacketPool* pool() const { return pool_; }
-  void set_pool(PacketPool* pool) { pool_ = pool; }
-
  private:
   void Recycle() {
     if (pool_ != nullptr) {

@@ -11,12 +11,9 @@
 // even swap out the vector through `mutable_bytes()`; Release() re-classifies
 // by capacity on the way back in.
 //
-// Thread model: pools are THREAD-AFFINE, not thread-safe. Each gateway shard
-// owns a pool touched only from that shard's thread; a packet that crosses a
-// shard boundary is re-targeted at the consumer's pool (Packet::set_pool)
-// before the consumer can free it, so Acquire/Release never race. The
-// process-wide Default() pool belongs to whichever single thread builds and
-// frees packets outside the sharded datapath (drivers, tests, examples).
+// Thread model: pools are not thread-safe. The farm is single-threaded, and
+// every frame it builds comes from the process-wide Default() pool, so
+// Acquire and Release always run on that one thread.
 #ifndef SRC_NET_PACKET_POOL_H_
 #define SRC_NET_PACKET_POOL_H_
 

@@ -158,6 +158,18 @@ TEST(FlagsTest, DefaultsWhenAbsentOrMalformed) {
   EXPECT_TRUE(flags.Has("count"));
 }
 
+// `--no-delta` parses as delta=false, so a lookup of "no-delta" would silently
+// miss it; every lookup rejects such names up front.
+TEST(FlagsDeathTest, LookupOfNoPrefixedNameDies) {
+  const char* argv[] = {"prog", "--no-delta"};
+  Flags flags = Flags::Parse(2, const_cast<char**>(argv));
+  EXPECT_DEATH(flags.GetBool("no-delta", false), "GetBool\\(\"delta\", true\\)");
+  EXPECT_DEATH(flags.GetString("no-out", ""), "no-");
+  EXPECT_DEATH(flags.GetUint("no-seed", 1), "no-");
+  EXPECT_DEATH(flags.Has("no-delta"), "no-");
+  EXPECT_FALSE(flags.GetBool("delta", true));
+}
+
 TEST(TableTest, AsciiRendering) {
   Table table({"name", "value"});
   table.AddRow({"alpha", "1"});

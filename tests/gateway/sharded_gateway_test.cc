@@ -1,11 +1,11 @@
 // ShardedGateway tests: ownership partitioning, session disjointness, the
-// N=1 passthrough guarantee, cross-shard reflection handoff, farm-wide probe
-// rollups, and the partitioned modes (deterministic barrier merge vs real
-// parallel drain).
+// N=1 passthrough guarantee, cross-shard reflection handoff, the full-ring
+// and partition paths of the handoff fabric, and farm-wide probe rollups.
 #include "src/gateway/sharded_gateway.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -20,8 +20,9 @@ namespace {
 const Ipv4Prefix kFarm(Ipv4Address(10, 1, 0, 0), 16);
 const Ipv4Address kExternal(203, 0, 113, 50);
 
-// Instant-spawn backend usable both as the single shared backend (shared-loop
-// mode) and one-per-shard (partitioned mode).
+// Instant-spawn backend that records every delivery. An optional hook runs
+// inside DeliverToVm, so a test can make a VM answer while the gateway is
+// still delivering (in the middle of a handoff pump).
 class InstantBackend : public GatewayBackend {
  public:
   size_t NumHosts() const override { return 4; }
@@ -37,6 +38,9 @@ class InstantBackend : public GatewayBackend {
   void DeliverToVm(HostId, VmId vm, Packet, const PacketView& view) override {
     ++delivered_;
     deliveries_.emplace_back(vm, view.ip().src);
+    if (on_deliver_) {
+      on_deliver_(vm);
+    }
   }
   uint64_t delivered() const { return delivered_; }
   // (vm, frame source address) per delivery, in delivery order.
@@ -44,12 +48,16 @@ class InstantBackend : public GatewayBackend {
     return deliveries_;
   }
   void ClearDeliveries() { deliveries_.clear(); }
+  void set_on_deliver(std::function<void(VmId)> hook) {
+    on_deliver_ = std::move(hook);
+  }
 
  private:
   VmId next_vm_ = 1;
   uint64_t delivered_ = 0;
   std::vector<std::pair<VmId, Ipv4Address>> deliveries_;
   std::map<VmId, Ipv4Address> last_ip_for_vm_;
+  std::function<void(VmId)> on_deliver_;
 };
 
 Packet InboundSyn(Ipv4Address dst, uint16_t sport = 40000,
@@ -79,7 +87,7 @@ Packet OutboundScan(Ipv4Address src, Ipv4Address dst, uint16_t sport) {
   return BuildPacket(spec);
 }
 
-// Shared-loop fixture: the deployment shape the Honeyfarm embeds.
+// Fixture: every shard on one loop and one backend, as the Honeyfarm embeds it.
 struct SharedFixture {
   EventLoop loop;
   InstantBackend backend;
@@ -87,12 +95,14 @@ struct SharedFixture {
   std::unique_ptr<ShardedGateway> gateway;
 
   explicit SharedFixture(uint32_t shards,
-                         OutboundMode mode = OutboundMode::kDropAll) {
+                         OutboundMode mode = OutboundMode::kDropAll,
+                         size_t ring_capacity = 4096) {
     ShardedGatewayConfig config;
     config.gateway.farm_prefix = kFarm;
     config.gateway.obs = &obs;
     config.gateway.containment.mode = mode;
     config.shard_count = shards;
+    config.handoff_ring_capacity = ring_capacity;
     gateway = std::make_unique<ShardedGateway>(&loop, config, &backend);
   }
 };
@@ -296,94 +306,6 @@ TEST(ShardedGatewayTest, AggregateProbesKeepFarmWideNames) {
             fx.obs.metrics.ValueOf("gateway.containment.allowed"));
 }
 
-// ---- Partitioned mode ----
-
-struct PartitionedFixture {
-  std::vector<std::unique_ptr<InstantBackend>> backends;
-  std::unique_ptr<ShardedGateway> gateway;
-
-  explicit PartitionedFixture(uint32_t shards,
-                              OutboundMode mode = OutboundMode::kDropAll,
-                              size_t ring_capacity = 4096) {
-    std::vector<GatewayBackend*> raw;
-    for (uint32_t s = 0; s < shards; ++s) {
-      backends.push_back(std::make_unique<InstantBackend>());
-      raw.push_back(backends.back().get());
-    }
-    ShardedGatewayConfig config;
-    config.gateway.farm_prefix = kFarm;
-    config.gateway.containment.mode = mode;
-    config.shard_count = shards;
-    config.handoff_ring_capacity = ring_capacity;
-    gateway = std::make_unique<ShardedGateway>(config, std::move(raw));
-  }
-
-  void Populate(uint32_t bindings) {
-    for (uint32_t i = 0; i < bindings; ++i) {
-      gateway->HandleInbound(InboundSyn(kFarm.AddressAt(i)));
-    }
-    gateway->RunUntilIdle();
-  }
-};
-
-TEST(ShardedGatewayTest, PartitionedRunUntilIdleIsDeterministic) {
-  const auto run = [] {
-    PartitionedFixture fx(4);
-    fx.Populate(64);
-    for (uint32_t i = 0; i < 256; ++i) {
-      fx.gateway->HandleInbound(
-          InboundSyn(kFarm.AddressAt(i % 64), static_cast<uint16_t>(41000 + i)));
-    }
-    fx.gateway->RunUntilIdle();
-    return fx.gateway->AggregateStats();
-  };
-  const GatewayStats a = run();
-  const GatewayStats b = run();
-  EXPECT_EQ(a.inbound_packets, b.inbound_packets);
-  EXPECT_EQ(a.inbound_delivered, b.inbound_delivered);
-  EXPECT_EQ(a.clones_triggered, b.clones_triggered);
-  EXPECT_EQ(a.handoffs_in, b.handoffs_in);
-  EXPECT_EQ(a.inbound_delivered, 64u + 256u);
-}
-
-TEST(ShardedGatewayTest, DrainParallelMatchesSequentialDelivery) {
-  constexpr uint32_t kShards = 4;
-  constexpr uint32_t kBindings = 64;
-  constexpr uint32_t kPackets = 4096;
-
-  PartitionedFixture fx(kShards);
-  fx.Populate(kBindings);
-
-  std::vector<std::vector<Packet>> per_shard(kShards);
-  for (uint32_t i = 0; i < kPackets; ++i) {
-    const Ipv4Address dst = kFarm.AddressAt(i % kBindings);
-    per_shard[fx.gateway->ShardOf(dst)].push_back(
-        InboundSyn(dst, static_cast<uint16_t>(42000 + i % 1000)));
-  }
-  const GatewayStats before = fx.gateway->AggregateStats();
-  const ShardedGateway::DrainResult result =
-      fx.gateway->DrainParallel(&per_shard, /*burst=*/32);
-  const GatewayStats after = fx.gateway->AggregateStats();
-
-  EXPECT_EQ(result.packets_fed, kPackets);
-  EXPECT_EQ(after.inbound_delivered - before.inbound_delivered, kPackets);
-  // Pre-binned hit-path traffic never crosses a shard boundary.
-  EXPECT_EQ(result.handoffs, 0u);
-
-  // The same workload through the deterministic barrier merge delivers the
-  // same count: the parallel drain is an execution strategy, not a semantics
-  // change.
-  PartitionedFixture ref(kShards);
-  ref.Populate(kBindings);
-  for (uint32_t i = 0; i < kPackets; ++i) {
-    ref.gateway->HandleInbound(InboundSyn(
-        kFarm.AddressAt(i % kBindings), static_cast<uint16_t>(42000 + i % 1000)));
-  }
-  ref.gateway->RunUntilIdle();
-  EXPECT_EQ(ref.gateway->AggregateStats().inbound_delivered,
-            after.inbound_delivered);
-}
-
 TEST(ShardedGatewayTest, BatchDispatchBinsByOwningShard) {
   SharedFixture fx(4);
   std::vector<Packet> burst;
@@ -398,92 +320,99 @@ TEST(ShardedGatewayTest, BatchDispatchBinsByOwningShard) {
   }
 }
 
-// A tiny ring forces the single-threaded full-ring fallback: it must drain
-// the destination's inbox (preserving per-pair FIFO) and then enqueue, so
-// every handoff still flows through the rings and none is lost.
+// A tiny ring forces the full-ring fallback: it must drain the destination's
+// inbox (preserving per-pair FIFO) and then enqueue, so every handoff still
+// flows through the rings and none is lost. Facade calls pump at once, so a
+// ring only fills while a pump is already running: here the worm VM answers
+// a reply delivered by the pump with a burst of scans, whose reflections
+// queue behind the running pump.
 TEST(ShardedGatewayTest, FullRingFallbackDrainsAndPreservesDelivery) {
-  PartitionedFixture fx(4, OutboundMode::kReflect, /*ring_capacity=*/2);
-  fx.Populate(4);
-  const Ipv4Address worm_ip = kFarm.AddressAt(3);
-  fx.gateway->NotifyInfected(worm_ip);
-  const Binding* worm =
-      fx.gateway->shard(fx.gateway->ShardOf(worm_ip)).bindings().Find(worm_ip);
-  ASSERT_NE(worm, nullptr);
-  // Drive the shard directly (no facade pump between calls) so reflected
-  // handoffs pile into 2-slot rings and overflow.
-  for (uint16_t i = 0; i < 64; ++i) {
-    fx.gateway->shard(fx.gateway->ShardOf(worm_ip))
-        .HandleOutbound(worm->host, worm->vm,
-                        OutboundScan(worm_ip,
-                                     Ipv4Address(77, 2, static_cast<uint8_t>(i), 9),
-                                     static_cast<uint16_t>(31000 + i)));
-  }
-  fx.gateway->RunUntilIdle();
-  const GatewayStats stats = fx.gateway->AggregateStats();
-  EXPECT_EQ(stats.reflections_injected, 64u);
-  EXPECT_GT(stats.handoffs_out, 2u);                 // overflowed the ring
-  EXPECT_EQ(stats.handoffs_in, stats.handoffs_out);  // none lost or stuck
-}
-
-// Destroying the facade with handoffs still queued in the rings must recycle
-// their packets while the per-shard pools are alive (destruction-order
-// regression: rings_ is declared before pools_).
-TEST(ShardedGatewayTest, DestructionWithQueuedHandoffsIsSafe) {
-  PartitionedFixture fx(4, OutboundMode::kReflect);
-  fx.Populate(4);
+  constexpr size_t kRingCapacity = 2;
+  SharedFixture fx(4, OutboundMode::kReflect, kRingCapacity);
   const Ipv4Address worm_ip = kFarm.AddressAt(3);
   const uint32_t worm_shard = fx.gateway->ShardOf(worm_ip);
+  fx.gateway->HandleInbound(InboundSyn(worm_ip));
+  fx.loop.RunAll();
   fx.gateway->NotifyInfected(worm_ip);
   const Binding* worm =
       fx.gateway->shard(worm_shard).bindings().Find(worm_ip);
   ASSERT_NE(worm, nullptr);
-  for (uint16_t i = 0; i < 16; ++i) {
-    Packet scan = OutboundScan(worm_ip,
-                               Ipv4Address(77, 3, static_cast<uint8_t>(i), 9),
-                               static_cast<uint16_t>(32000 + i));
-    // Mimic DrainParallel adoption: the frame belongs to a per-shard pool, so
-    // its eventual recycle dereferences that pool.
-    scan.set_pool(&fx.gateway->shard_pool(worm_shard));
-    // Direct shard call: reflected handoffs stay queued (no facade pump).
-    fx.gateway->shard(worm_shard).HandleOutbound(worm->host, worm->vm,
-                                                 std::move(scan));
+  const HostId worm_host = worm->host;
+  const VmId worm_vm = worm->vm;
+
+  // A victim on another shard: reflect the worm's scans until one lands
+  // off the worm's shard.
+  const Binding* victim = nullptr;
+  for (uint16_t i = 0; victim == nullptr && i < 64; ++i) {
+    fx.gateway->HandleOutbound(
+        worm_host, worm_vm,
+        OutboundScan(worm_ip, Ipv4Address(77, 4, static_cast<uint8_t>(i), 9),
+                     static_cast<uint16_t>(34000 + i)));
+    fx.loop.RunAll();
+    for (uint32_t s = 0; s < 4 && victim == nullptr; ++s) {
+      if (s == worm_shard) {
+        continue;
+      }
+      fx.gateway->shard(s).bindings().ForEach([&](const Binding& binding) {
+        if (victim == nullptr && binding.state == BindingState::kActive) {
+          victim = &binding;
+        }
+      });
+    }
   }
-  // Destructor runs with non-empty rings; ASan/TSan jobs catch any
-  // use-after-free of the pools here.
+  ASSERT_NE(victim, nullptr);
+
+  // When the victim's reply reaches the worm — handed off from the victim's
+  // shard, so delivered inside a pump — the worm fires 64 more scans inline.
+  bool fired = false;
+  fx.backend.set_on_deliver([&](VmId vm) {
+    if (vm != worm_vm || fired) {
+      return;
+    }
+    fired = true;
+    for (uint16_t i = 0; i < 64; ++i) {
+      fx.gateway->HandleOutbound(
+          worm_host, worm_vm,
+          OutboundScan(worm_ip, Ipv4Address(77, 2, static_cast<uint8_t>(i), 9),
+                       static_cast<uint16_t>(31000 + i)));
+    }
+  });
+  const GatewayStats before = fx.gateway->AggregateStats();
+  fx.gateway->HandleOutbound(victim->host, victim->vm,
+                             OutboundScan(victim->ip, worm_ip, /*sport=*/445));
+  fx.loop.RunAll();
+  ASSERT_TRUE(fired);
+
+  const GatewayStats stats = fx.gateway->AggregateStats();
+  EXPECT_EQ(stats.reflections_injected - before.reflections_injected, 64u);
+  EXPECT_GT(stats.handoffs_out - before.handoffs_out, kRingCapacity);
+  EXPECT_EQ(stats.handoffs_in, stats.handoffs_out);  // none lost or stuck
+  EXPECT_EQ(fx.gateway->partition_drops(), 0u);
 }
 
-// Partitioned-mode egress: each shard's allowed outbound packets bin
-// per-shard (no cross-shard call into a shared sink) and FlushEgress merges
-// them into the user's single sink in shard order — deterministically.
-TEST(ShardedGatewayTest, PartitionedEgressMergesPerShardBins) {
-  PartitionedFixture fx(4, OutboundMode::kOpen);
-  fx.Populate(8);
-  std::vector<Ipv4Address> egress_sources;
-  fx.gateway->set_egress_sink([&](Packet p) {
-    const auto view = PacketView::Parse(p);
-    ASSERT_TRUE(view.has_value());
-    egress_sources.push_back(view->ip().src);
-  });
-
-  // One outbound packet from a VM on every shard, queued out of shard order.
-  for (uint32_t i = 8; i-- > 0;) {
-    const Ipv4Address src = kFarm.AddressAt(i);
-    const uint32_t shard = fx.gateway->ShardOf(src);
-    const Binding* binding = fx.gateway->shard(shard).bindings().Find(src);
-    ASSERT_NE(binding, nullptr);
-    fx.gateway->shard(shard).HandleOutbound(
-        binding->host, binding->vm,
-        OutboundScan(src, Ipv4Address(77, 9, static_cast<uint8_t>(i), 1),
-                     static_cast<uint16_t>(33000 + i)));
+// Destroying the facade with handoffs still queued in the rings must recycle
+// their packets cleanly; the ASan job catches any use-after-free here.
+TEST(ShardedGatewayTest, DestructionWithQueuedHandoffsIsSafe) {
+  SharedFixture fx(4, OutboundMode::kReflect);
+  const Ipv4Address worm_ip = kFarm.AddressAt(3);
+  const uint32_t worm_shard = fx.gateway->ShardOf(worm_ip);
+  fx.gateway->HandleInbound(InboundSyn(worm_ip));
+  fx.loop.RunAll();
+  fx.gateway->NotifyInfected(worm_ip);
+  for (uint32_t to = 0; to < 4; ++to) {
+    if (to != worm_shard) {
+      fx.gateway->SetHandoffPartition(worm_shard, to, true);
+    }
   }
-  fx.gateway->RunUntilIdle();  // flushes the bins through the merged sink
-
-  ASSERT_EQ(egress_sources.size(), 8u);
-  // Merge order is shard-major: all of shard 0's packets, then shard 1's...
-  for (size_t i = 1; i < egress_sources.size(); ++i) {
-    EXPECT_LE(fx.gateway->ShardOf(egress_sources[i - 1]),
-              fx.gateway->ShardOf(egress_sources[i]));
+  for (uint16_t i = 0; i < 16; ++i) {
+    fx.gateway->HandleOutbound(
+        0, 1, OutboundScan(worm_ip, Ipv4Address(77, 3, static_cast<uint8_t>(i), 9),
+                           static_cast<uint16_t>(32000 + i)));
   }
+  fx.loop.RunAll();
+  const GatewayStats stats = fx.gateway->AggregateStats();
+  ASSERT_GT(stats.handoffs_out, stats.handoffs_in);  // handoffs left queued
+  fx.gateway.reset();
 }
 
 // A cut handoff ring stalls cross-shard traffic without losing it (until the
