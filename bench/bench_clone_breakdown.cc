@@ -6,10 +6,8 @@
 // actually running clones through the virtual-time engine, and measures the *real*
 // wall-clock cost of the clone mechanics (CoW mapping vs full page copy) in this
 // implementation.
-#include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
 #include "bench/report.h"
 #include "src/base/flags.h"
@@ -28,47 +26,28 @@ PhysicalHostConfig HostConfig(uint64_t memory_mb) {
   return config;
 }
 
-// One engine clone's phase timeline as reconstructed from its trace spans —
-// the reported breakdown is sourced from the TraceRecorder, not read back out
-// of the latency model, so the table exercises the same path a Chrome-trace
-// consumer would.
-struct TracedClone {
-  std::array<Duration, static_cast<size_t>(ClonePhase::kNumPhases)> phase{};
-  Duration total;
-};
-
-// Runs one clone through the virtual-time engine with tracing attached and
-// returns the span-derived breakdown. `trace_out`, when non-null, receives the
-// recorder so callers can export the Chrome JSON.
-TracedClone RunEngineClone(CloneKind kind, const CloneLatencyModel& model,
-                           uint32_t image_pages, const char* track_name,
-                           Observability* obs) {
+// Runs one clone through the virtual-time engine and returns the timing its
+// completion callback reports. The breakdown table is sourced from these
+// engine-charged phases, not read back out of the latency model.
+CloneTiming RunEngineClone(CloneKind kind, const CloneLatencyModel& model,
+                           uint32_t image_pages) {
   EventLoop loop;
   PhysicalHost host(HostConfig(2048));
   ReferenceImageConfig image_config;
   image_config.num_pages = image_pages;
   const ImageId image = host.RegisterImage(image_config);
+  Observability obs;
   CloneEngineConfig engine_config;
   engine_config.kind = kind;
   engine_config.latency = model;
-  engine_config.obs = obs;
-  engine_config.trace_track = track_name;
+  engine_config.obs = &obs;
   CloneEngine engine(&loop, &host, engine_config);
-  TracedClone result;
+  CloneTiming timing;
   engine.RequestClone(
       image, "vm", Ipv4Address(10, 1, 0, 1), MacAddress::FromId(1),
-      [&](VirtualMachine*, const CloneTiming& t) { result.total = t.Total(); });
+      [&](VirtualMachine*, const CloneTiming& t) { timing = t; });
   loop.RunAll();
-  for (const TraceRecorder::Span& span :
-       ObsOrDefault(obs).trace.Spans(engine.trace_track())) {
-    for (int p = 0; p < static_cast<int>(ClonePhase::kNumPhases); ++p) {
-      if (std::strcmp(span.name, ClonePhaseName(static_cast<ClonePhase>(p))) == 0) {
-        result.phase[static_cast<size_t>(p)] =
-            Duration::Nanos(span.end_ns - span.begin_ns);
-      }
-    }
-  }
-  return result;
+  return timing;
 }
 
 double MeasureMechanicsMs(CloneKind kind, uint32_t image_pages, int iterations) {
@@ -99,22 +78,21 @@ void Run(int argc, char** argv) {
   const CloneLatencyModel unoptimized;
   const CloneLatencyModel optimized = CloneLatencyModel::Optimized();
 
-  // Source the breakdown from traced engine runs: each row below is the span
-  // the clone engine recorded, not a direct latency-model lookup. The values
-  // are identical to the model's by construction (the engine charges exactly
-  // the model's costs), so this doubles as an end-to-end check of the tracer.
-  Observability obs;
-  const TracedClone traced_unopt = RunEngineClone(
-      CloneKind::kFlash, unoptimized, pages, "flash/unoptimized", &obs);
-  const TracedClone traced_opt = RunEngineClone(
-      CloneKind::kFlash, optimized, pages, "flash/optimized", &obs);
+  // Source the breakdown from engine runs: each row below is the phase the
+  // clone engine charged, not a direct latency-model lookup. The values are
+  // identical to the model's by construction (the engine charges exactly the
+  // model's costs), so this doubles as an end-to-end check of the engine.
+  const CloneTiming engine_unopt =
+      RunEngineClone(CloneKind::kFlash, unoptimized, pages);
+  const CloneTiming engine_opt =
+      RunEngineClone(CloneKind::kFlash, optimized, pages);
 
   Table table({"phase", "unoptimized (ms)", "optimized (ms)"});
   for (int p = 0; p < static_cast<int>(ClonePhase::kNumPhases); ++p) {
     const auto phase = static_cast<ClonePhase>(p);
     table.AddRow({ClonePhaseName(phase),
-                  StrFormat("%.1f", traced_unopt.phase[static_cast<size_t>(p)].millis_f()),
-                  StrFormat("%.1f", traced_opt.phase[static_cast<size_t>(p)].millis_f())});
+                  StrFormat("%.1f", engine_unopt.phase[static_cast<size_t>(p)].millis_f()),
+                  StrFormat("%.1f", engine_opt.phase[static_cast<size_t>(p)].millis_f())});
   }
   table.AddRow({"TOTAL (flash clone)",
                 StrFormat("%.1f", unoptimized.FlashCloneTotal(pages).millis_f()),
@@ -132,10 +110,9 @@ void Run(int argc, char** argv) {
   std::printf("%s\n", baselines.ToAscii().c_str());
 
   // Cross-check: the virtual-time engine reproduces the model totals exactly.
-  const Duration engine_flash = traced_unopt.total;
+  const Duration engine_flash = engine_unopt.Total();
   const Duration engine_full =
-      RunEngineClone(CloneKind::kFullCopy, unoptimized, pages, "full_copy", &obs)
-          .total;
+      RunEngineClone(CloneKind::kFullCopy, unoptimized, pages).Total();
   std::printf("engine cross-check: flash=%s (model %s), full-copy=%s (model %s)\n\n",
               engine_flash.ToString().c_str(), flash.ToString().c_str(),
               engine_full.ToString().c_str(), full.ToString().c_str());
@@ -150,13 +127,6 @@ void Run(int argc, char** argv) {
 
   std::printf("shape check (paper): total ~0.5s unoptimized, dominated by "
               "control-plane phases; flash << full-copy << cold boot.\n");
-
-  // Export the phase timelines for chrome://tracing / Perfetto.
-  const std::string trace_path =
-      BenchReport::OutputDir() + "/TRACE_clone_phases.json";
-  if (obs.trace.WriteChromeJson(trace_path)) {
-    std::fprintf(stderr, "clone-phase trace: %s\n", trace_path.c_str());
-  }
 
   BenchReport report("clone_breakdown");
   report.Add("flash_clone_total_unoptimized", flash.millis_f(), "ms",

@@ -559,20 +559,6 @@ void BM_WatchdogEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_WatchdogEvaluate);
 
-void BM_ObsSpanBeginEnd(benchmark::State& state) {
-  TraceRecorder recorder;
-  const TraceRecorder::TrackId track = recorder.RegisterTrack("bench");
-  int64_t now = 0;
-  for (auto _ : state) {
-    const TraceRecorder::OpenSpan open =
-        recorder.Begin(track, "span", TimePoint::FromNanos(now));
-    now += 100;
-    recorder.End(open, TimePoint::FromNanos(now));
-  }
-  benchmark::DoNotOptimize(recorder.span_count(track));
-}
-BENCHMARK(BM_ObsSpanBeginEnd);
-
 }  // namespace
 }  // namespace potemkin
 

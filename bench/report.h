@@ -56,15 +56,16 @@ class BenchReport {
            Kind kind);
   void set_seed(uint64_t seed) { seed_ = seed; }
   // Gateway shard count the run used (1 for unsharded benches). Stamped into
-  // the JSON alongside `host_threads` (the machine's hardware concurrency) so
-  // a diff can tell a code regression from a topology or host change.
+  // the JSON alongside `host_threads` (the machine's hardware concurrency,
+  // informational) so a diff can tell a code regression from a topology
+  // change: `bench_tool diff` does not enforce across differing shard counts.
   void set_shards(uint32_t shards) { shards_ = shards; }
 
   // Serializes the report (stable key order, trailing newline).
   std::string ToJson() const;
 
   // Writes BENCH_<benchmark>.json into OutputDir(). Returns the path written,
-  // or an empty string when the file could not be created.
+  // or an empty string when the file could not be written in full.
   std::string WriteJson() const;
 
   // POTEMKIN_BENCH_DIR if set, else `git rev-parse --show-toplevel`, else ".".

@@ -278,6 +278,16 @@ bool ReadFileToString(const std::string& path, std::string* out) {
   return true;
 }
 
+bool WriteStringToFile(const std::string& path, std::string_view text) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return false;
+  }
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), file) == text.size();
+  return std::fclose(file) == 0 && written;
+}
+
 bool ReadJsonFile(const std::string& path, JsonValue* out, std::string* error) {
   std::string text;
   if (!ReadFileToString(path, &text)) {

@@ -57,6 +57,10 @@ bool ReadJsonFile(const std::string& path, JsonValue* out, std::string* error);
 // Reads the whole file at `path`; false when it cannot be opened.
 bool ReadFileToString(const std::string& path, std::string* out);
 
+// Writes `text` to the file at `path`, replacing it; false when the file cannot
+// be opened, the write comes up short or the close fails.
+bool WriteStringToFile(const std::string& path, std::string_view text);
+
 // Typed member access for schema checks: a missing or mistyped member reads
 // as zero/empty/false and the first such key is recorded in error(), so a
 // parser reads every field and checks ok() once.

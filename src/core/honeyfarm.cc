@@ -36,7 +36,6 @@ Honeyfarm::Honeyfarm(const HoneyfarmConfig& config)
     server_config.host.id = i;
     server_config.host.name = StrFormat("host%u", i);
     server_config.engine.obs = &obs_;
-    server_config.engine.trace_track = StrFormat("clone/host%u", i);
     auto server =
         std::make_unique<CloneServer>(&loop_, server_config, config_.seed + 1000 + i);
     server->host().ExportMetrics(&obs_.metrics, server_config.host.name);

@@ -83,10 +83,6 @@ class Honeyfarm : public GatewayBackend {
   HealthMonitor& health() { return health_; }
   // The sharded gateway facade every packet crosses.
   ShardedGateway& sharded_gateway() { return gateway_; }
-  // Shard 0's Gateway — the whole gateway for the default 1-shard farm, which
-  // keeps every pre-sharding caller source-compatible. Multi-shard callers
-  // that want farm-wide state should use sharded_gateway() instead.
-  Gateway& gateway() { return gateway_.shard(0); }
   CloneServer& server(size_t i) {
     PK_CHECK(i < servers_.size())
         << "server index " << i << " out of range (" << servers_.size()

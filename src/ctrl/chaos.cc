@@ -191,7 +191,7 @@ uint64_t ChaosHarness::CheckInvariantsOnce() {
   //    — unless the farm deliberately runs open.
   const uint64_t escapes = TotalEscapes() - baseline_escapes_;
   const bool open_mode =
-      farm_->gateway().config().containment.mode == OutboundMode::kOpen;
+      farm_->config().gateway.containment.mode == OutboundMode::kOpen;
   if (escapes > report_.containment_escapes && !open_mode) {
     PK_ERROR << "chaos invariant: " << escapes
              << " packet(s) from infected VMs escaped during the run";

@@ -7,7 +7,7 @@ namespace potemkin {
 namespace {
 
 // Metric-name-safe phase slugs; ClonePhaseName returns display forms (with
-// spaces) for the trace viewer, which would make awkward metric rows.
+// spaces) for report tables, which would make awkward metric rows.
 const char* ClonePhaseSlug(ClonePhase phase) {
   switch (phase) {
     case ClonePhase::kControlPlaneRpc:
@@ -35,8 +35,7 @@ CloneEngine::CloneEngine(EventLoop* loop, PhysicalHost* host,
     : loop_(loop),
       host_(host),
       config_(config),
-      obs_(ObsOrDefault(config.obs)),
-      track_(obs_.trace.RegisterTrack(config.trace_track)) {
+      obs_(ObsOrDefault(config.obs)) {
   PK_CHECK(config_.control_plane_workers >= 1);
   // Counter names are shared across engines on purpose: same name -> same
   // storage, so a multi-host farm aggregates clone counts for free.
@@ -206,7 +205,7 @@ void CloneEngine::ExecuteClone(Job job) {
       latency_hist_.Record(timing.Total().millis_f());
       m_latency_ms_.Record(timing.Total().millis_f());
       queue_wait_hist_.Record(timing.QueueWait().millis_f());
-      RecordCloneSpans(timing);
+      RecordPhaseLatencies(timing);
     } else {
       ++clones_failed_;
       m_failed_.Inc();
@@ -218,47 +217,19 @@ void CloneEngine::ExecuteClone(Job job) {
   });
 }
 
-void CloneEngine::RecordCloneSpans(const CloneTiming& timing) {
-  // The engine charges the whole clone as one lump of virtual time, so the
-  // phase boundaries are reconstructed here from the per-phase costs the model
-  // already attributed — the spans are exactly the model's breakdown laid out
-  // sequentially from `started`, which is also the order the real control
-  // plane executed them.
-  TraceRecorder& trace = obs_.trace;
-  trace.RecordSpan(track_, CloneKindName(config_.kind), timing.started,
-                   timing.finished);
-  TimePoint cursor = timing.started;
-  for (int p = 0; p < static_cast<int>(ClonePhase::kNumPhases); ++p) {
-    const Duration cost = timing.phase[static_cast<size_t>(p)];
-    trace.RecordSpan(track_, ClonePhaseName(static_cast<ClonePhase>(p)), cursor,
-                     cursor + cost);
-    m_phase_ns_[static_cast<size_t>(p)].Record(
-        static_cast<uint64_t>(cost.nanos()));
-    cursor = cursor + cost;
+void CloneEngine::RecordPhaseLatencies(const CloneTiming& timing) {
+  for (size_t p = 0; p < m_phase_ns_.size(); ++p) {
+    m_phase_ns_[p].Record(static_cast<uint64_t>(timing.phase[p].nanos()));
   }
-  m_total_ns_.Record(
-      static_cast<uint64_t>((timing.finished - timing.started).nanos()));
-  if (!timing.memory_copy.IsZero()) {
-    trace.RecordSpan(track_, "memory_copy", cursor, cursor + timing.memory_copy);
-    cursor = cursor + timing.memory_copy;
-  }
-  if (!timing.boot.IsZero()) {
-    trace.RecordSpan(track_, "guest_boot", cursor, cursor + timing.boot);
-    cursor = cursor + timing.boot;
-  }
-  if (!timing.ws_prefetch.IsZero()) {
-    trace.RecordSpan(track_, "ws_prefetch", cursor, cursor + timing.ws_prefetch);
-  }
+  m_total_ns_.Record(static_cast<uint64_t>(timing.Total().nanos()));
 }
 
 void CloneEngine::ExecuteDestroy(Job job) {
-  const TimePoint begin = loop_->Now();
   loop_->ScheduleAfter(config_.latency.domain_destroy * latency_scale_,
-                       [this, job = std::move(job), begin]() {
+                       [this, job = std::move(job)]() {
     host_->DestroyVm(job.victim);
     ++destroys_completed_;
     m_destroyed_.Inc();
-    obs_.trace.RecordSpan(track_, "domain_destroy", begin, loop_->Now());
     if (job.destroy_callback) {
       job.destroy_callback();
     }

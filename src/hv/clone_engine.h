@@ -54,9 +54,6 @@ struct CloneEngineConfig {
   uint32_t pressure_reclaim_batch = 0;
   // Telemetry bundle; null falls back to Observability::Default().
   Observability* obs = nullptr;
-  // Trace track every clone's phase spans are recorded on (one per engine, so
-  // per-host timelines stay separate in the Chrome trace).
-  std::string trace_track = "clone";
 };
 
 class CloneEngine {
@@ -115,8 +112,6 @@ class CloneEngine {
   uint64_t clones_completed() const { return clones_completed_; }
   uint64_t clones_failed() const { return clones_failed_; }
   uint64_t destroys_completed() const { return destroys_completed_; }
-  // The trace track this engine records clone-phase spans on.
-  TraceRecorder::TrackId trace_track() const { return track_; }
   const Histogram& latency_histogram() const { return latency_hist_; }
   const Histogram& queue_wait_histogram() const { return queue_wait_hist_; }
 
@@ -141,13 +136,12 @@ class CloneEngine {
   void ExecuteClone(Job job);
   void ExecuteDestroy(Job job);
   void FinishWorker();
-  void RecordCloneSpans(const CloneTiming& timing);
+  void RecordPhaseLatencies(const CloneTiming& timing);
 
   EventLoop* loop_;
   PhysicalHost* host_;
   CloneEngineConfig config_;
   Observability& obs_;
-  TraceRecorder::TrackId track_;
   Counter m_completed_;
   Counter m_failed_;
   Counter m_destroyed_;

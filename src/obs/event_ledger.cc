@@ -1,9 +1,11 @@
 #include "src/obs/event_ledger.h"
 
-#include <cstdio>
 #include <cstring>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
+#include "src/base/json_util.h"
 #include "src/base/log.h"
 #include "src/base/strings.h"
 
@@ -21,14 +23,16 @@ const char* Basename(const char* path) {
   return slash ? slash + 1 : path;
 }
 
-bool WriteAll(const std::string& path, const std::string& text) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  std::fclose(file);
-  return written == text.size();
+// A complete ("X") event spanning `begin` to `end` on their session's track.
+std::string ChromeSpan(const char* name, const EventLedger::Record& begin,
+                       const EventLedger::Record& end) {
+  return StrFormat("{\"name\":\"%s\",\"cat\":\"clone\",\"ph\":\"X\","
+                   "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%u,"
+                   "\"args\":{\"begin_seq\":%llu,\"end_seq\":%llu}}",
+                   name, static_cast<double>(begin.time_ns) / 1e3,
+                   static_cast<double>(end.time_ns - begin.time_ns) / 1e3,
+                   end.session, static_cast<unsigned long long>(begin.seq),
+                   static_cast<unsigned long long>(end.seq));
 }
 
 }  // namespace
@@ -206,7 +210,7 @@ std::string EventLedger::ToJsonLines() const {
 }
 
 bool EventLedger::WriteJsonLines(const std::string& path) const {
-  return WriteAll(path, ToJsonLines());
+  return WriteStringToFile(path, ToJsonLines());
 }
 
 std::string EventLedger::ToChromeJson() const {
@@ -221,28 +225,34 @@ std::string EventLedger::ToChromeJson() const {
     out += '\n';
     out += event;
   };
-  // One metadata event per distinct session so every attack gets its own named
-  // track; tid 0 collects session-less farm events.
-  std::vector<SessionId> sessions;
+  // One metadata event per distinct session, in order of first appearance, so
+  // every attack gets its own named track; tid 0 collects session-less farm
+  // events.
+  std::unordered_set<SessionId> seen;
   for (const Record& record : events) {
-    bool seen = false;
-    for (const SessionId s : sessions) {
-      seen = seen || s == record.session;
+    if (!seen.insert(record.session).second) {
+      continue;
     }
-    if (!seen) {
-      sessions.push_back(record.session);
-    }
-  }
-  for (const SessionId session : sessions) {
-    if (session == kNoSession) {
+    if (record.session == kNoSession) {
       emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
            "\"tid\":0,\"args\":{\"name\":\"farm\"}}");
     } else {
       emit(StrFormat("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
                      "\"tid\":%u,\"args\":{\"name\":\"session %u\"}}",
-                     session, session));
+                     record.session, record.session));
     }
   }
+  // Clone spans are derived from begin/end pairs on one session:
+  // clone_requested -> clone_started is the control-plane queue wait, and
+  // clone_started -> clone_done | clone_failed is the clone itself. A pair
+  // whose begin was evicted, or whose end has not been appended yet, emits no
+  // span. Session-less clones share tid 0 and cannot be paired, so they stay
+  // instants only.
+  struct OpenClone {
+    const Record* requested = nullptr;
+    const Record* started = nullptr;
+  };
+  std::unordered_map<SessionId, OpenClone> open;
   for (const Record& record : events) {
     emit(StrFormat("{\"name\":\"%s\",\"cat\":\"ledger\",\"ph\":\"i\","
                    "\"s\":\"t\",\"ts\":%.3f,\"pid\":0,\"tid\":%u,"
@@ -252,13 +262,41 @@ std::string EventLedger::ToChromeJson() const {
                    static_cast<unsigned long long>(record.seq),
                    static_cast<unsigned long long>(record.a),
                    static_cast<unsigned long long>(record.b)));
+    if (record.session == kNoSession) {
+      continue;
+    }
+    switch (record.type) {
+      case LedgerEvent::kCloneRequested:
+        open[record.session].requested = &record;
+        break;
+      case LedgerEvent::kCloneStarted: {
+        OpenClone& clone = open[record.session];
+        if (clone.requested != nullptr) {
+          emit(ChromeSpan("clone_queue", *clone.requested, record));
+          clone.requested = nullptr;
+        }
+        clone.started = &record;
+        break;
+      }
+      case LedgerEvent::kCloneDone:
+      case LedgerEvent::kCloneFailed: {
+        const auto it = open.find(record.session);
+        if (it != open.end() && it->second.started != nullptr) {
+          emit(ChromeSpan("clone", *it->second.started, record));
+          it->second.started = nullptr;
+        }
+        break;
+      }
+      default:
+        break;
+    }
   }
   out += "\n],\"displayTimeUnit\":\"ms\"}\n";
   return out;
 }
 
 bool EventLedger::WriteChromeJson(const std::string& path) const {
-  return WriteAll(path, ToChromeJson());
+  return WriteStringToFile(path, ToChromeJson());
 }
 
 void EventLedger::InstallLogHook(EventLedger* ledger,

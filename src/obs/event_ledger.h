@@ -171,7 +171,10 @@ class EventLedger {
   bool WriteJsonLines(const std::string& path) const;
 
   // Chrome trace_event JSON: one track (tid) per session — tid 0 collects
-  // session-less farm events — each record an instant ("i") event.
+  // session-less farm events — each record an instant ("i") event, plus
+  // complete ("X") "clone_queue" and "clone" spans derived from each session's
+  // clone_requested -> clone_started -> clone_done|clone_failed records.
+  // Linear in retained records.
   std::string ToChromeJson() const;
   bool WriteChromeJson(const std::string& path) const;
 

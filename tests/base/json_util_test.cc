@@ -89,6 +89,27 @@ TEST(JsonReaderTest, ReadJsonFileReportsUnreadablePath) {
   EXPECT_EQ(error, "cannot read file");
 }
 
+TEST(FileIoTest, WriteStringToFileRoundTrips) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "/json_util_test_write.json";
+  const std::string text = "{\"a\": [1, 2]}\n";
+  ASSERT_TRUE(WriteStringToFile(path, text));
+  std::string back;
+  ASSERT_TRUE(ReadFileToString(path, &back));
+  EXPECT_EQ(back, text);
+  // A second write replaces the file rather than appending to it.
+  ASSERT_TRUE(WriteStringToFile(path, "{}"));
+  ASSERT_TRUE(ReadFileToString(path, &back));
+  EXPECT_EQ(back, "{}");
+}
+
+TEST(FileIoTest, WriteStringToFileReportsFailure) {
+  EXPECT_FALSE(WriteStringToFile("/nonexistent/json_util_test.json", "{}"));
+  // /dev/full accepts the open and fails the flush: the data never lands, so
+  // the write must not report success.
+  EXPECT_FALSE(WriteStringToFile("/dev/full", std::string(8192, 'x')));
+}
+
 TEST(JsonFieldsTest, ReadsTypedMembersAndRecordsTheFirstBadKey) {
   const JsonValue doc = MustParse(
       "{\"s\": \"x\", \"n\": 2.5, \"z\": null, \"b\": true, \"a\": [1, 2]}");

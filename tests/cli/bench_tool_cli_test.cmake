@@ -5,7 +5,7 @@
 #   - a move off a zero baseline in the losing direction is a regression
 #   - each row is judged by its declared `better`, not by its name or unit
 #   - a missing baseline row or a changed declaration does not compare (2)
-#   - multi-shard runs from hosts with different thread counts are demoted
+#   - runs with different shard counts are demoted; other hosts are not
 #   - `validate` rejects unknown snapshot schema versions
 #   - `check` trend-checks deterministic rows and never wallclock rows
 #
@@ -138,21 +138,28 @@ file(WRITE "${WORK_DIR}/truncated.json" "${truncated}")
 run_tool("truncated report" 2 validate "${WORK_DIR}/truncated.json")
 run_tool("unreadable report" 2 diff "${worm}" "${WORK_DIR}/absent.json")
 
-# ---- Like-for-like guard: a multi-shard report from another host is shown
-# but not enforced; from the same host it is ----
+# ---- Like-for-like guard: a report with a different shard count is shown
+# but not enforced; a different host thread count does not demote (the farm
+# is single-threaded at any shard count) ----
 set(soak "${SOURCE_DIR}/BENCH_soak.json")
 set(slow_row "(\"wallclock_ms\", \"value\": )[0-9.]+")
 craft(slow_same_host.json soak "${slow_row}" "\\199999999")
 run_tool("same host slowdown" 1 diff --threshold=0.35 "${soak}"
          "${WORK_DIR}/slow_same_host.json")
 file(READ "${WORK_DIR}/slow_same_host.json" text)
-string(REGEX REPLACE "\"host_threads\": [0-9]+" "\"host_threads\": 64" text
+string(REGEX REPLACE "\"host_threads\": [0-9]+" "\"host_threads\": 64" other
        "${text}")
-file(WRITE "${WORK_DIR}/slow_other_host.json" "${text}")
-run_tool("cross-host slowdown" 0 diff --threshold=0.35 "${soak}"
+file(WRITE "${WORK_DIR}/slow_other_host.json" "${other}")
+run_tool("cross-host slowdown" 1 diff --threshold=0.35 "${soak}"
          "${WORK_DIR}/slow_other_host.json")
-expect_contains("cross-host slowdown" "${out}" "not like-for-like")
+expect_lacks("cross-host slowdown" "${out}" "not like-for-like")
 expect_contains("cross-host slowdown" "${out}" "REGRESSED")
+string(REGEX REPLACE "\"shards\": [0-9]+" "\"shards\": 7" other "${text}")
+file(WRITE "${WORK_DIR}/slow_other_shards.json" "${other}")
+run_tool("cross-shard slowdown" 0 diff --threshold=0.35 "${soak}"
+         "${WORK_DIR}/slow_other_shards.json")
+expect_contains("cross-shard slowdown" "${out}" "not like-for-like")
+expect_contains("cross-shard slowdown" "${out}" "REGRESSED")
 
 # ---- Health snapshots ----
 set(snapshot "{\"snapshot\": \"honeyfarm\", \"schema_version\": 1, \

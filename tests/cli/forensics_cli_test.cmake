@@ -78,5 +78,8 @@ file(READ "${WORK_DIR}/trace.json" trace)
 expect_contains("trace.json" "${trace}" "\"traceEvents\"")
 expect_contains("trace.json" "${trace}" "\"ph\":\"i\"")
 expect_contains("trace.json" "${trace}" "session 1")
+# Clone spans derived from the ledger's begin/end pairs.
+expect_contains("trace.json" "${trace}" "\"ph\":\"X\"")
+expect_contains("trace.json" "${trace}" "\"name\":\"clone\"")
 
 message(STATUS "forensics CLI contract OK")

@@ -178,14 +178,14 @@ TEST(ScannerFilterTest, KnownScannersStopSpawningVms) {
     farm.InjectInbound(ProbeSyn(kFarm.AddressAt(i)));
   }
   farm.RunFor(Duration::Seconds(5.0));
-  EXPECT_LE(farm.gateway().bindings().size(), 4u);
-  EXPECT_GE(farm.gateway().stats().inbound_filtered_scanners, 16u);
+  EXPECT_LE(farm.sharded_gateway().live_bindings(), 4u);
+  EXPECT_GE(farm.sharded_gateway().AggregateStats().inbound_filtered_scanners, 16u);
 
   // Packets to an ALREADY-live VM still flow even from the flagged scanner.
-  const uint64_t delivered_before = farm.gateway().stats().inbound_delivered;
+  const uint64_t delivered_before = farm.sharded_gateway().AggregateStats().inbound_delivered;
   farm.InjectInbound(ProbeSyn(kFarm.AddressAt(0)));
   farm.RunFor(Duration::Seconds(1.0));
-  EXPECT_GT(farm.gateway().stats().inbound_delivered, delivered_before);
+  EXPECT_GT(farm.sharded_gateway().AggregateStats().inbound_delivered, delivered_before);
 }
 
 TEST(GreTerminationTest, TunneledTrafficReachesTheFarm) {
@@ -201,7 +201,7 @@ TEST(GreTerminationTest, TunneledTrafficReachesTheFarm) {
   farm.InjectTunneled(router.Send(ProbeSyn(kFarm.AddressAt(8))));
   farm.RunFor(Duration::Seconds(2.0));
   EXPECT_EQ(farm.TotalLiveVms(), 1u);
-  EXPECT_EQ(farm.gateway().stats().inbound_packets, 1u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().inbound_packets, 1u);
   ASSERT_NE(farm.gre_tunnel(), nullptr);
   EXPECT_EQ(farm.gre_tunnel()->packets_decapsulated(), 1u);
 }
@@ -226,8 +226,8 @@ TEST(ScannerFilterTest, DisabledByDefault) {
     farm.InjectInbound(ProbeSyn(kFarm.AddressAt(i)));
   }
   farm.RunFor(Duration::Seconds(5.0));
-  EXPECT_EQ(farm.gateway().bindings().size(), 20u);
-  EXPECT_EQ(farm.gateway().stats().inbound_filtered_scanners, 0u);
+  EXPECT_EQ(farm.sharded_gateway().live_bindings(), 20u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().inbound_filtered_scanners, 0u);
 }
 
 }  // namespace

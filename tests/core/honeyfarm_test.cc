@@ -65,7 +65,7 @@ TEST(HoneyfarmTest, DistinctAddressesDistinctVms) {
   }
   farm.RunFor(Duration::Seconds(8.0));
   EXPECT_EQ(farm.TotalLiveVms(), 10u);
-  EXPECT_EQ(farm.gateway().bindings().size(), 10u);
+  EXPECT_EQ(farm.sharded_gateway().live_bindings(), 10u);
   // Spread across both hosts by round robin.
   EXPECT_GT(farm.server(0).LiveVms(), 0u);
   EXPECT_GT(farm.server(1).LiveVms(), 0u);
@@ -84,7 +84,7 @@ TEST(HoneyfarmTest, IdleVmsRecycledAndMemoryReclaimed) {
   farm.RunFor(Duration::Seconds(10.0));
   EXPECT_EQ(farm.TotalLiveVms(), 0u);
   EXPECT_EQ(farm.TotalUsedFrames(), baseline);
-  EXPECT_EQ(farm.gateway().bindings().size(), 0u);
+  EXPECT_EQ(farm.sharded_gateway().live_bindings(), 0u);
 }
 
 TEST(HoneyfarmTest, RecycledAddressRespawnsOnNewTraffic) {
@@ -113,7 +113,7 @@ TEST(HoneyfarmTest, WormSeedInfectsVictim) {
   farm.RunFor(Duration::Seconds(3.0));
   EXPECT_EQ(farm.epidemic().total_infections(), 1u);
   EXPECT_EQ(worm.active_instances(), 1u);
-  const Binding* binding = farm.gateway().bindings().Find(kFarm.AddressAt(1));
+  const Binding* binding = farm.sharded_gateway().shard(0).bindings().Find(kFarm.AddressAt(1));
   ASSERT_NE(binding, nullptr);
   EXPECT_TRUE(binding->infected);
 }
@@ -133,8 +133,8 @@ TEST(HoneyfarmTest, ReflectedWormSpreadsInsideFarmWithZeroEscapes) {
 
   EXPECT_GT(farm.epidemic().total_infections(), 3u)
       << "reflection must sustain an in-farm epidemic";
-  EXPECT_EQ(farm.gateway().containment().stats().escapes_from_infected, 0u);
-  EXPECT_GT(farm.gateway().stats().reflections_injected, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected, 0u);
+  EXPECT_GT(farm.sharded_gateway().AggregateStats().reflections_injected, 0u);
 }
 
 TEST(HoneyfarmTest, DropAllPolicyStopsSpreadCold) {
@@ -148,9 +148,9 @@ TEST(HoneyfarmTest, DropAllPolicyStopsSpreadCold) {
   farm.RunFor(Duration::Minutes(2));
 
   EXPECT_EQ(farm.epidemic().total_infections(), 1u);  // only the seed
-  EXPECT_EQ(farm.gateway().containment().stats().escapes_from_infected, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected, 0u);
   EXPECT_EQ(farm.egress_packet_count(), 0u);
-  EXPECT_GT(farm.gateway().containment().stats().dropped, 0u);
+  EXPECT_GT(farm.sharded_gateway().AggregateContainmentStats().dropped, 0u);
 }
 
 TEST(HoneyfarmTest, OpenPolicyLeaksWormScans) {
@@ -162,7 +162,7 @@ TEST(HoneyfarmTest, OpenPolicyLeaksWormScans) {
   farm.Start();
   farm.SeedWorm(worm, kExternal, kFarm.AddressAt(1));
   farm.RunFor(Duration::Minutes(1));
-  EXPECT_GT(farm.gateway().containment().stats().escapes_from_infected, 100u);
+  EXPECT_GT(farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected, 100u);
 }
 
 TEST(HoneyfarmTest, ReflectedEpidemicUsesCowSharing) {
@@ -235,8 +235,8 @@ TEST(HoneyfarmTest, DnsLookupFromGuestAnsweredInternally) {
   guest->vm()->Transmit(BuildPacket(spec));
   farm.RunFor(Duration::Seconds(1.0));
 
-  EXPECT_EQ(farm.gateway().stats().dns_responses, 1u);
-  EXPECT_EQ(farm.gateway().dns_proxy().queries_answered(), 1u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().dns_responses, 1u);
+  EXPECT_EQ(farm.sharded_gateway().shard(0).dns_proxy().queries_answered(), 1u);
   // The DNS query itself must not leave the farm (only the earlier SYN|ACK
   // response to the prober was allowed out).
   EXPECT_EQ(farm.egress_packet_count(), egress_before);
@@ -263,7 +263,7 @@ TEST(HoneyfarmTest, CapacityExhaustionDropsNewAddresses) {
   EXPECT_LT(farm.TotalLiveVms(), 50u);
   // A fresh address now fails admission up front.
   farm.InjectInbound(ProbeSyn(kFarm.AddressAt(100)));
-  EXPECT_GT(farm.gateway().stats().no_capacity_drops, 0u);
+  EXPECT_GT(farm.sharded_gateway().AggregateStats().no_capacity_drops, 0u);
 }
 
 TEST(HoneyfarmTest, ShardedFarmMatchesUnshardedTotals) {
@@ -341,7 +341,7 @@ TEST(HoneyfarmTest, ContainmentVerdictIsFarmWideAtAnyShardCount) {
     EXPECT_EQ(total.escapes_from_infected, summed.escapes_from_infected)
         << shards << " shards";
     return std::pair<ContainmentStats, ContainmentStats>(
-        total, farm.gateway().containment().stats());
+        total, farm.sharded_gateway().shard(0).containment().stats());
   };
   for (const uint32_t shards : {1u, 2u, 4u}) {
     const auto [total, shard0] = run(shards, OutboundMode::kReflect);

@@ -133,7 +133,7 @@ TEST(ChaosTest, BackendCrashMidOutbreakStaysContained) {
   EXPECT_EQ(report.violations, 0u);
   EXPECT_EQ(report.containment_escapes, 0u);
   EXPECT_EQ(report.bindings_on_down_hosts, 0u);
-  EXPECT_EQ(farm.gateway().containment().stats().escapes_from_infected, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected, 0u);
   // The crashed host healed through warming back into rotation.
   EXPECT_EQ(controller.pool().state(0), BackendState::kActive);
 }
@@ -157,7 +157,7 @@ TEST(ChaosTest, DenialStormStarvesThenReleasesFrames) {
   // Probes keep getting answered: placement steers around the starved host.
   farm.InjectInbound(ProbeSyn(kFarm.AddressAt(9)));
   farm.RunFor(Duration::Seconds(2.0));
-  const Binding* binding = farm.gateway().bindings().Find(kFarm.AddressAt(9));
+  const Binding* binding = farm.sharded_gateway().shard(0).bindings().Find(kFarm.AddressAt(9));
   ASSERT_NE(binding, nullptr);
   EXPECT_EQ(binding->host, 1u);
 

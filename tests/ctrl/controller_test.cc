@@ -59,7 +59,7 @@ TEST(ControllerTest, DrainMigratesSessionsAndRetiresHost) {
   }
   farm.RunFor(Duration::Seconds(3.0));
   ASSERT_GT(farm.sharded_gateway().CountHostBindings(0), 0u);
-  const size_t total = farm.gateway().bindings().size();
+  const size_t total = farm.sharded_gateway().live_bindings();
 
   controller.DrainHost(0);
   EXPECT_EQ(controller.pool().state(0), BackendState::kDraining);
@@ -72,7 +72,7 @@ TEST(ControllerTest, DrainMigratesSessionsAndRetiresHost) {
   EXPECT_EQ(controller.stats().drains_completed, 1u);
   EXPECT_EQ(controller.stats().drains_forced, 0u);
   EXPECT_GT(controller.stats().migrations, 0u);
-  EXPECT_EQ(farm.gateway().bindings().size(), total);
+  EXPECT_EQ(farm.sharded_gateway().live_bindings(), total);
 
   // The farm still answers probes (on the surviving host).
   std::vector<Packet> egress;
@@ -80,7 +80,7 @@ TEST(ControllerTest, DrainMigratesSessionsAndRetiresHost) {
   farm.InjectInbound(ProbeSyn(kFarm.AddressAt(100)));
   farm.RunFor(Duration::Seconds(2.0));
   EXPECT_FALSE(egress.empty());
-  const Binding* binding = farm.gateway().bindings().Find(kFarm.AddressAt(100));
+  const Binding* binding = farm.sharded_gateway().shard(0).bindings().Find(kFarm.AddressAt(100));
   ASSERT_NE(binding, nullptr);
   EXPECT_EQ(binding->host, 1u);
 }
@@ -94,7 +94,7 @@ TEST(ControllerTest, CrashFailoverReroutesInsteadOfBlackholing) {
   const Ipv4Address victim = kFarm.AddressAt(3);
   farm.InjectInbound(ProbeSyn(victim));
   farm.RunFor(Duration::Seconds(2.0));
-  const Binding* binding = farm.gateway().bindings().Find(victim);
+  const Binding* binding = farm.sharded_gateway().shard(0).bindings().Find(victim);
   ASSERT_NE(binding, nullptr);
   const HostId crashed = binding->host;
 
@@ -104,7 +104,7 @@ TEST(ControllerTest, CrashFailoverReroutesInsteadOfBlackholing) {
   EXPECT_EQ(controller.pool().state(crashed), BackendState::kDown);
   EXPECT_EQ(controller.stats().failovers, 1u);
   EXPECT_EQ(farm.sharded_gateway().CountHostBindings(crashed), 0u);
-  EXPECT_EQ(farm.gateway().bindings().Find(victim), nullptr);
+  EXPECT_EQ(farm.sharded_gateway().shard(0).bindings().Find(victim), nullptr);
 
   // The next probe for the same address re-routes to the healthy host and
   // gets answered — the flow was never blackholed into the dead backend.
@@ -112,7 +112,7 @@ TEST(ControllerTest, CrashFailoverReroutesInsteadOfBlackholing) {
   farm.set_egress_monitor([&](const Packet& p) { egress.push_back(p); });
   farm.InjectInbound(ProbeSyn(victim));
   farm.RunFor(Duration::Seconds(2.0));
-  const Binding* rebound = farm.gateway().bindings().Find(victim);
+  const Binding* rebound = farm.sharded_gateway().shard(0).bindings().Find(victim);
   ASSERT_NE(rebound, nullptr);
   EXPECT_NE(rebound->host, crashed);
   EXPECT_FALSE(egress.empty());
@@ -125,7 +125,7 @@ TEST(ControllerTest, ExplicitFailHostInvalidatesImmediately) {
   controller.Start();
   farm.InjectInbound(ProbeSyn(kFarm.AddressAt(1)));
   farm.RunFor(Duration::Seconds(2.0));
-  const Binding* binding = farm.gateway().bindings().Find(kFarm.AddressAt(1));
+  const Binding* binding = farm.sharded_gateway().shard(0).bindings().Find(kFarm.AddressAt(1));
   ASSERT_NE(binding, nullptr);
   const HostId host = binding->host;
 
@@ -143,7 +143,7 @@ TEST(ControllerTest, RotationLeavesInFlightClonesPinned) {
 
   farm.InjectInbound(ProbeSyn(kFarm.AddressAt(5)));
   farm.RunFor(Duration::Seconds(2.0));
-  const Binding* binding = farm.gateway().bindings().Find(kFarm.AddressAt(5));
+  const Binding* binding = farm.sharded_gateway().shard(0).bindings().Find(kFarm.AddressAt(5));
   ASSERT_NE(binding, nullptr);
   const VmId pinned_vm = binding->vm;
   CloneServer& server = farm.server(0);
@@ -164,7 +164,7 @@ TEST(ControllerTest, RotationLeavesInFlightClonesPinned) {
   // A clone spawned after rotation boots the new generation.
   farm.InjectInbound(ProbeSyn(kFarm.AddressAt(6)));
   farm.RunFor(Duration::Seconds(2.0));
-  const Binding* fresh = farm.gateway().bindings().Find(kFarm.AddressAt(6));
+  const Binding* fresh = farm.sharded_gateway().shard(0).bindings().Find(kFarm.AddressAt(6));
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(server.host().VmGeneration(fresh->vm), image->current_generation());
 }

@@ -81,7 +81,7 @@ TEST(BackscatterTest, ClosedUdpPortEmitsPortUnreachableThroughGateway) {
   EXPECT_EQ(view->icmp().code, kIcmpCodePortUnreachable);
   EXPECT_EQ(view->ip().dst, kProber);
   EXPECT_TRUE(ValidateChecksums(egress[0]));
-  EXPECT_EQ(farm.gateway().stats().icmp_errors_allowed_out, 1u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().icmp_errors_allowed_out, 1u);
 }
 
 TEST(BackscatterTest, ForgedIcmpErrorsAreContained) {
@@ -93,7 +93,7 @@ TEST(BackscatterTest, ForgedIcmpErrorsAreContained) {
   farm.Start();
   farm.InjectInbound(UdpProbe(kFarm.AddressAt(5), 1434));  // brings up a VM
   farm.RunFor(Duration::Seconds(2.0));
-  const Binding* binding = farm.gateway().bindings().Find(kFarm.AddressAt(5));
+  const Binding* binding = farm.sharded_gateway().shard(0).bindings().Find(kFarm.AddressAt(5));
   ASSERT_NE(binding, nullptr);
   GuestOs* guest = farm.server(0).FindGuest(binding->vm);
   ASSERT_NE(guest, nullptr);
@@ -124,14 +124,14 @@ TEST(TtlTest, ExpiredTtlDroppedAtGateway) {
   // TTL 1 decrements to 0 at the gateway hop: never delivered.
   farm.InjectInbound(UdpProbe(kFarm.AddressAt(5), 1434, /*ttl=*/1));
   farm.RunFor(Duration::Seconds(2.0));
-  EXPECT_EQ(farm.gateway().stats().ttl_expired_drops, 1u);
-  EXPECT_EQ(farm.gateway().stats().inbound_delivered, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().ttl_expired_drops, 1u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().inbound_delivered, 0u);
   // The VM was still cloned (late binding happens before delivery)...
   EXPECT_EQ(farm.TotalLiveVms(), 1u);
   // ...and a healthy-TTL packet reaches it.
   farm.InjectInbound(UdpProbe(kFarm.AddressAt(5), 1434, /*ttl=*/64));
   farm.RunFor(Duration::Seconds(1.0));
-  EXPECT_EQ(farm.gateway().stats().inbound_delivered, 1u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().inbound_delivered, 1u);
 }
 
 TEST(EmergencyReclaimTest, PressureRetiresMostIdleVms) {
@@ -149,13 +149,13 @@ TEST(EmergencyReclaimTest, PressureRetiresMostIdleVms) {
   for (; address < 32; ++address) {
     farm.InjectInbound(UdpProbe(kFarm.AddressAt(address), 1434));
     farm.RunFor(Duration::Seconds(1.0));
-    if (farm.gateway().stats().no_capacity_drops > 0) {
+    if (farm.sharded_gateway().AggregateStats().no_capacity_drops > 0) {
       break;
     }
     live_before = farm.TotalLiveVms();
   }
-  ASSERT_GT(farm.gateway().stats().no_capacity_drops, 0u);
-  EXPECT_EQ(farm.gateway().stats().emergency_reclaims, 2u);
+  ASSERT_GT(farm.sharded_gateway().AggregateStats().no_capacity_drops, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().emergency_reclaims, 2u);
   farm.RunFor(Duration::Seconds(2.0));  // teardown completes
   EXPECT_LT(farm.TotalLiveVms(), live_before);
 
@@ -177,8 +177,8 @@ TEST(EmergencyReclaimTest, DisabledByDefault) {
     farm.InjectInbound(UdpProbe(kFarm.AddressAt(i), 1434));
     farm.RunFor(Duration::Seconds(1.0));
   }
-  EXPECT_GT(farm.gateway().stats().no_capacity_drops, 0u);
-  EXPECT_EQ(farm.gateway().stats().emergency_reclaims, 0u);
+  EXPECT_GT(farm.sharded_gateway().AggregateStats().no_capacity_drops, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().emergency_reclaims, 0u);
 }
 
 }  // namespace

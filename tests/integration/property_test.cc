@@ -229,7 +229,7 @@ TEST_P(FarmPropertyTest, ContainmentOnlyLetsResponsesOut) {
   DriveRandomTraffic(farm, rng, 300, Duration::Millis(50));
   farm.RunFor(Duration::Seconds(5.0));
 
-  EXPECT_EQ(farm.gateway().containment().stats().escapes_from_infected, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected, 0u);
   for (const auto& packet : egress) {
     const auto view = PacketView::Parse(packet);
     ASSERT_TRUE(view.has_value());
@@ -249,7 +249,7 @@ TEST_P(FarmPropertyTest, DeterministicAcrossRuns) {
     Rng rng(s);
     DriveRandomTraffic(farm, rng, 200, Duration::Millis(40));
     farm.RunFor(Duration::Seconds(3.0));
-    const GatewayStats& g = farm.gateway().stats();
+    const GatewayStats g = farm.sharded_gateway().AggregateStats();
     return std::make_tuple(g.inbound_packets, g.inbound_delivered, g.clones_triggered,
                            g.outbound_packets, g.reflections_injected,
                            farm.TotalLiveVms(), farm.TotalUsedFrames(),
@@ -271,7 +271,7 @@ TEST_P(FarmPropertyTest, RecyclingReclaimsEverything) {
   farm.RunFor(Duration::Minutes(2));
   EXPECT_EQ(farm.TotalLiveVms(), 0u);
   EXPECT_EQ(farm.TotalUsedFrames(), baseline);
-  EXPECT_EQ(farm.gateway().bindings().size(), 0u);
+  EXPECT_EQ(farm.sharded_gateway().live_bindings(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

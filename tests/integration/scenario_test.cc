@@ -53,7 +53,7 @@ TEST(ScenarioTest, TwoWormStrainsSpreadIndependently) {
   EXPECT_GT(blaster.stats().scans_sent, 0u);
   // Epidemic grows beyond both seeds, with zero escapes under reflection.
   EXPECT_GT(farm.epidemic().total_infections(), 2u);
-  EXPECT_EQ(farm.gateway().containment().stats().escapes_from_infected, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected, 0u);
 }
 
 TEST(ScenarioTest, BlasterSequentialSweepInfectsContiguousFarmRange) {
@@ -70,7 +70,7 @@ TEST(ScenarioTest, BlasterSequentialSweepInfectsContiguousFarmRange) {
   farm.RunFor(Duration::Seconds(30.0));
 
   EXPECT_GT(farm.epidemic().total_infections(), 5u);
-  EXPECT_EQ(farm.gateway().containment().stats().escapes_from_infected, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected, 0u);
   // Every victim (beyond the seed) was attacked from inside the farm.
   const auto& events = farm.epidemic().events();
   for (size_t i = 1; i < events.size(); ++i) {
@@ -100,7 +100,7 @@ TEST(ScenarioTest, DnsThenConnectMalwareStaysInsideFarm) {
   farm.InjectInbound(BuildPacket(probe));
   farm.RunFor(Duration::Seconds(2.0));
   const uint64_t egress_after_setup = farm.egress_packet_count();
-  const Binding* binding = farm.gateway().bindings().Find(kFarm.AddressAt(5));
+  const Binding* binding = farm.sharded_gateway().shard(0).bindings().Find(kFarm.AddressAt(5));
   ASSERT_NE(binding, nullptr);
   GuestOs* guest = farm.server(binding->host).FindGuest(binding->vm);
   ASSERT_NE(guest, nullptr);
@@ -120,7 +120,7 @@ TEST(ScenarioTest, DnsThenConnectMalwareStaysInsideFarm) {
   dns.payload = EncodeDnsQuery(query);
   guest->vm()->Transmit(BuildPacket(dns));
   farm.RunFor(Duration::Seconds(1.0));
-  EXPECT_EQ(farm.gateway().stats().dns_responses, 1u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().dns_responses, 1u);
 
   // The proxy's answer is deterministic; compute where the C&C "lives".
   DnsProxy reference(kFarm, config.gateway.seed);
@@ -140,7 +140,7 @@ TEST(ScenarioTest, DnsThenConnectMalwareStaysInsideFarm) {
   guest->vm()->Transmit(BuildPacket(connect));
   farm.RunFor(Duration::Seconds(2.0));
 
-  EXPECT_NE(farm.gateway().bindings().Find(cc_addr), nullptr);
+  EXPECT_NE(farm.sharded_gateway().shard(0).bindings().Find(cc_addr), nullptr);
   // Neither the DNS lookup nor the C&C connection left the farm (only the
   // initial SYN|ACK response to the external prober did).
   EXPECT_EQ(farm.egress_packet_count(), egress_after_setup);
@@ -170,7 +170,7 @@ TEST(ScenarioTest, TwoPhaseWormCannotLaunderExploitsThroughReflectionNat) {
   EXPECT_GT(farm.epidemic().total_infections(), 2u);
   // ...and the ONLY packets that reached the Internet are replies to the seed
   // attacker; no worm exploit ever escaped.
-  EXPECT_EQ(farm.gateway().containment().stats().escapes_from_infected, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected, 0u);
   for (const auto& packet : egress) {
     const auto view = PacketView::Parse(packet);
     ASSERT_TRUE(view.has_value());
@@ -199,7 +199,7 @@ TEST(ScenarioTest, StrictTcpFarmSustainsTwoPhaseEpidemic) {
   EXPECT_GT(worm.stats().handshakes_completed, 10u);
   EXPECT_GT(worm.stats().exploits_delivered, 10u);
   EXPECT_GT(farm.epidemic().total_infections(), 3u);
-  EXPECT_EQ(farm.gateway().containment().stats().escapes_from_infected, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected, 0u);
 }
 
 TEST(ScenarioTest, StrictTcpBlocksNakedExploitPackets) {
@@ -244,7 +244,7 @@ TEST(ScenarioTest, GreDeliveredRadiationDrivesTheFarm) {
   }
   farm.RunFor(Duration::Seconds(30.0));
   EXPECT_EQ(farm.gre_tunnel()->packets_decapsulated(), trace.size());
-  EXPECT_EQ(farm.gateway().stats().inbound_packets, trace.size());
+  EXPECT_EQ(farm.sharded_gateway().AggregateStats().inbound_packets, trace.size());
   EXPECT_GT(farm.total_clones_completed(), 10u);
 }
 
@@ -291,7 +291,7 @@ TEST(ScenarioTest, EveryEscapeAttemptDrawsAContainmentVerdict) {
                         << " has no containment verdict";
   }
   EXPECT_EQ(attempts_seen, escape.stats().attempts);
-  EXPECT_EQ(farm.gateway().containment().stats().escapes_from_infected, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected, 0u);
 }
 
 TEST(ScenarioTest, DropperStallsAtStageOneUnderFullContainment) {
@@ -315,7 +315,7 @@ TEST(ScenarioTest, DropperStallsAtStageOneUnderFullContainment) {
   EXPECT_EQ(dropper.stats().stalled, 1u);
   EXPECT_EQ(dropper.stats().activations, 0u);
   EXPECT_EQ(dropper.scanning_instances(), 0u);
-  EXPECT_EQ(farm.gateway().containment().stats().escapes_from_infected, 0u);
+  EXPECT_EQ(farm.sharded_gateway().AggregateContainmentStats().escapes_from_infected, 0u);
   bool stalled_on_record = false;
   for (const auto& event : farm.obs().ledger.Events()) {
     if (event.type == LedgerEvent::kMalwareStage &&
@@ -361,7 +361,7 @@ TEST(ScenarioTest, TcpHandshakeSurvivesCloneLatency) {
   ack.ack = synack->tcp().seq + 1;
   farm.InjectInbound(BuildPacket(ack));
   farm.RunFor(Duration::Seconds(1.0));
-  const FlowRecord* flow = farm.gateway().flows().Find(
+  const FlowRecord* flow = farm.sharded_gateway().shard(0).flows().Find(
       FlowKey{kExternal, kFarm.AddressAt(9), IpProto::kTcp, 41000, 80});
   ASSERT_NE(flow, nullptr);
   EXPECT_EQ(flow->tcp_state, TcpState::kEstablished);

@@ -112,6 +112,105 @@ TEST(EventLedgerTest, ChromeJsonHasPerSessionTracks) {
   EXPECT_NE(json.find("\"ts\":0.100"), std::string::npos);
 }
 
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(EventLedgerTest, ChromeJsonDerivesCloneSpansFromPairs) {
+  EventLedger ledger(16);
+  ledger.Append(LedgerEvent::kFirstContact, 4, 1000);
+  ledger.Append(LedgerEvent::kCloneRequested, 4, 1000);
+  ledger.Append(LedgerEvent::kCloneStarted, 4, 3500);
+  ledger.Append(LedgerEvent::kCloneDone, 4, 21500);
+  const std::string json = ledger.ToChromeJson();
+  EXPECT_EQ(CountOf(json, "\"ph\":\"X\""), 2u);
+  // Microsecond units: 1000 ns -> 1.000 us, a 2500 ns queue wait -> 2.500 us.
+  EXPECT_NE(json.find("{\"name\":\"clone_queue\",\"cat\":\"clone\",\"ph\":\"X\","
+                      "\"ts\":1.000,\"dur\":2.500,\"pid\":0,\"tid\":4,"
+                      "\"args\":{\"begin_seq\":1,\"end_seq\":2}}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"name\":\"clone\",\"cat\":\"clone\",\"ph\":\"X\","
+                      "\"ts\":3.500,\"dur\":18.000,\"pid\":0,\"tid\":4,"
+                      "\"args\":{\"begin_seq\":2,\"end_seq\":3}}"),
+            std::string::npos)
+      << json;
+  // Every record still exports as an instant.
+  EXPECT_EQ(CountOf(json, "\"ph\":\"i\""), 4u);
+}
+
+TEST(EventLedgerTest, ChromeJsonSkipsPairWithEvictedBegin) {
+  EventLedger ledger(3);
+  ledger.Append(LedgerEvent::kCloneRequested, 2, 100);
+  ledger.Append(LedgerEvent::kCloneStarted, 2, 200);  // evicted below
+  ledger.Append(LedgerEvent::kPacketQueued, 2, 250);
+  ledger.Append(LedgerEvent::kPacketQueued, 2, 260);
+  ledger.Append(LedgerEvent::kCloneDone, 2, 300);
+  ASSERT_EQ(ledger.dropped(), 2u);
+  const std::string json = ledger.ToChromeJson();
+  EXPECT_EQ(CountOf(json, "\"ph\":\"X\""), 0u) << json;
+  EXPECT_NE(json.find("\"name\":\"clone_done\""), std::string::npos);
+}
+
+TEST(EventLedgerTest, ChromeJsonSkipsInFlightClone) {
+  EventLedger ledger(16);
+  ledger.Append(LedgerEvent::kCloneRequested, 6, 100);
+  ledger.Append(LedgerEvent::kCloneStarted, 6, 200);
+  const std::string json = ledger.ToChromeJson();
+  // The queue wait is complete; the clone itself has no end yet.
+  EXPECT_EQ(CountOf(json, "\"ph\":\"X\""), 1u) << json;
+  EXPECT_NE(json.find("\"name\":\"clone_queue\""), std::string::npos);
+  EXPECT_EQ(json.find("\"name\":\"clone\","), std::string::npos);
+}
+
+TEST(EventLedgerTest, ChromeJsonFailedCloneSpanEndsAtFailure) {
+  EventLedger ledger(16);
+  ledger.Append(LedgerEvent::kCloneRequested, 9, 0);
+  ledger.Append(LedgerEvent::kCloneStarted, 9, 0);
+  ledger.Append(LedgerEvent::kCloneFailed, 9, 7000);
+  const std::string json = ledger.ToChromeJson();
+  EXPECT_NE(json.find("{\"name\":\"clone\",\"cat\":\"clone\",\"ph\":\"X\","
+                      "\"ts\":0.000,\"dur\":7.000,\"pid\":0,\"tid\":9,"
+                      "\"args\":{\"begin_seq\":1,\"end_seq\":2}}"),
+            std::string::npos)
+      << json;
+}
+
+TEST(EventLedgerTest, ChromeJsonPairsInterleavedSessionsIndependently) {
+  EventLedger ledger(16);
+  ledger.Append(LedgerEvent::kCloneRequested, 1, 100);
+  ledger.Append(LedgerEvent::kCloneRequested, 2, 150);
+  ledger.Append(LedgerEvent::kCloneStarted, 2, 200);
+  ledger.Append(LedgerEvent::kCloneStarted, 1, 300);
+  ledger.Append(LedgerEvent::kCloneDone, 1, 1300);
+  ledger.Append(LedgerEvent::kCloneDone, 2, 2200);
+  const std::string json = ledger.ToChromeJson();
+  EXPECT_EQ(CountOf(json, "\"ph\":\"X\""), 4u) << json;
+  EXPECT_NE(json.find("\"name\":\"clone_queue\",\"cat\":\"clone\",\"ph\":\"X\","
+                      "\"ts\":0.100,\"dur\":0.200,\"pid\":0,\"tid\":1,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"clone_queue\",\"cat\":\"clone\",\"ph\":\"X\","
+                      "\"ts\":0.150,\"dur\":0.050,\"pid\":0,\"tid\":2,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"clone\",\"cat\":\"clone\",\"ph\":\"X\","
+                      "\"ts\":0.300,\"dur\":1.000,\"pid\":0,\"tid\":1,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"clone\",\"cat\":\"clone\",\"ph\":\"X\","
+                      "\"ts\":0.200,\"dur\":2.000,\"pid\":0,\"tid\":2,"),
+            std::string::npos)
+      << json;
+  // One named track per session.
+  EXPECT_EQ(CountOf(json, "\"name\":\"thread_name\""), 2u);
+}
+
 TEST(EventLedgerTest, ResetReallocatesAndClears) {
   EventLedger ledger(4);
   for (int i = 0; i < 6; ++i) {

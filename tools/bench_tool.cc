@@ -58,8 +58,7 @@ struct Metric {
 struct Report {
   std::string benchmark;
   std::string git_sha;
-  double shards = 0.0;  // shards and host_threads are NaN when `null`
-  double host_threads = 0.0;
+  double shards = 0.0;  // NaN when `null`
   std::vector<Metric> metrics;
   std::string compact;  // the report as one trajectory line
 
@@ -117,7 +116,7 @@ bool ParseReport(std::string_view text, Report* out, std::string* error) {
   out->git_sha = fields.String("git_sha");
   fields.Number("seed");  // required; identifies the run, not compared
   out->shards = fields.NumberOrNull("shards");
-  out->host_threads = fields.NumberOrNull("host_threads");
+  fields.NumberOrNull("host_threads");  // required; not compared
   for (const JsonValue& row : fields.Array("metrics")) {
     JsonFields row_fields(row);
     Metric& metric = out->metrics.emplace_back();
@@ -280,23 +279,18 @@ int Diff(const std::vector<std::string>& args) {
                 " vs " + candidate.benchmark + ")");
   }
 
-  // Like for like: when the reports disagree on shards, or on host_threads
-  // while either ran in parallel, regressions are printed but not enforced.
-  // Single-threaded reports stay enforced across hosts: noise there is a
-  // threshold problem, not a topology problem. A missing stamp (NaN) keeps
-  // the guard inert, as NaN compares unequal and not greater.
-  const auto differ = [](double a, double b) {
-    return a == a && b == b && a != b;
-  };
-  const bool cross_host =
-      differ(baseline.shards, candidate.shards) ||
-      ((baseline.shards > 1 || candidate.shards > 1) &&
-       differ(baseline.host_threads, candidate.host_threads));
-  if (cross_host) {
-    std::printf("note: not like-for-like (shards %g vs %g, host_threads %g vs "
-                "%g) — regressions reported but not enforced\n",
-                baseline.shards, candidate.shards, baseline.host_threads,
-                candidate.host_threads);
+  // Like for like: when the reports disagree on shards, regressions are
+  // printed but not enforced. The farm is single-threaded at any shard count,
+  // so the host's thread count does not change what a run measures: noise
+  // across hosts is a threshold problem, not a topology problem. A missing
+  // stamp (NaN) keeps the guard inert, as NaN compares unequal.
+  const bool cross_shards = baseline.shards == baseline.shards &&
+                            candidate.shards == candidate.shards &&
+                            baseline.shards != candidate.shards;
+  if (cross_shards) {
+    std::printf("note: not like-for-like (shards %g vs %g) — regressions "
+                "reported but not enforced\n",
+                baseline.shards, candidate.shards);
   }
   std::printf("%-44s %16s %16s %9s\n", "metric", "baseline", "candidate",
               "delta");
@@ -342,7 +336,7 @@ int Diff(const std::vector<std::string>& args) {
     return Fail("baseline rows missing from the candidate or declared "
                 "differently");
   }
-  return regressed && !cross_host ? 1 : 0;
+  return regressed && !cross_shards ? 1 : 0;
 }
 
 int Trajectory(const std::vector<std::string>& args) {
