@@ -4,10 +4,35 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace potemkin {
 
+namespace {
+
+// Appends one std::to_chars rendering. `format`/`precision` follow printf:
+// (fixed, 0) is `%.0f`, (general, 17) is `%.17g`, (fixed, 3) is `%.3f`.
+void AppendChars(std::string& out, double value, std::chars_format format,
+                 int precision) {
+  // Wide enough for `%.3f` of the largest double: 309 integral digits, sign,
+  // point and three decimals.
+  char buffer[std::numeric_limits<double>::max_exponent10 + 12];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                    format, precision);
+  out.append(buffer, result.ptr);
+}
+
+template <typename Int>
+void AppendInteger(std::string& out, Int value) {
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out.append(buffer, result.ptr);
+}
+
+}  // namespace
+
 void AppendJsonString(std::string& out, std::string_view value) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
   for (const char c : value) {
     switch (c) {
@@ -21,11 +46,10 @@ void AppendJsonString(std::string& out, std::string_view value) {
         out += "\\n";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
+        if (const auto byte = static_cast<unsigned char>(c); byte < 0x20) {
+          out += "\\u00";
+          out += kHex[byte >> 4];
+          out += kHex[byte & 0xF];
         } else {
           out += c;
         }
@@ -37,17 +61,23 @@ void AppendJsonString(std::string& out, std::string_view value) {
 void AppendJsonNumber(std::string& out, double value) {
   if (!std::isfinite(value)) {
     out += "null";
-    return;
+  } else if (value == std::floor(value) && std::fabs(value) < 1e15) {
+    AppendChars(out, value, std::chars_format::fixed, 0);
+  } else {
+    AppendChars(out, value, std::chars_format::general, 17);
   }
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.0f", value);
-    out += buffer;
-    return;
-  }
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
+}
+
+void AppendJsonUint(std::string& out, uint64_t value) {
+  AppendInteger(out, value);
+}
+
+void AppendJsonInt(std::string& out, int64_t value) {
+  AppendInteger(out, value);
+}
+
+void AppendJsonFixed3(std::string& out, double value) {
+  AppendChars(out, value, std::chars_format::fixed, 3);
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {

@@ -1,11 +1,14 @@
-// The farm's one JSON module: emission helpers for every artifact writer (BENCH
-// reports, health snapshots, telemetry time series, trajectory lines) and the
-// reader the tools parse those artifacts back with.
+// The farm's one JSON module: the only place exported bytes are formatted
+// (BENCH reports, health snapshots, telemetry time series, trajectory lines,
+// ledger JSONL and Chrome traces, flight-recorder dumps) and the reader the
+// tools parse those artifacts back with.
 //
 // One definition of the escaping and number-formatting rules keeps artifacts
 // byte-level comparable across tools: the CI jobs byte-compare repeated runs,
 // so two writers disagreeing about how to format `1e15` or escape a quote
-// would silently break those gates.
+// would silently break those gates. Numbers go through std::to_chars in the
+// printf-equivalent forms (`%.0f`, `%.17g`, `%.3f`), so the bytes match the
+// printf rendering while skipping the format-string parse.
 //
 // Appenders never allocate beyond growing `out` — callers that pre-reserve the
 // destination string (the telemetry exporter's line ring does) stay
@@ -13,6 +16,7 @@
 #ifndef SRC_BASE_JSON_UTIL_H_
 #define SRC_BASE_JSON_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -29,6 +33,15 @@ void AppendJsonString(std::string& out, std::string_view value);
 // integers (`%.0f`), everything else round-trips via `%.17g`; non-finite
 // values emit `null` (JSON has no NaN/Inf).
 void AppendJsonNumber(std::string& out, double value);
+
+// Appends an integer exactly. Ledger arguments and sequence numbers can exceed
+// 2^53, so they must not round-trip through `double`.
+void AppendJsonUint(std::string& out, uint64_t value);
+void AppendJsonInt(std::string& out, int64_t value);
+
+// Appends `value` with exactly three decimals (`%.3f`): Chrome trace `ts` and
+// `dur` fields, in microseconds with nanosecond resolution.
+void AppendJsonFixed3(std::string& out, double value);
 
 // One parsed JSON value. Objects keep their members in document order.
 struct JsonValue {

@@ -7,7 +7,6 @@
 
 #include "src/base/json_util.h"
 #include "src/base/log.h"
-#include "src/base/strings.h"
 
 namespace potemkin {
 
@@ -24,15 +23,22 @@ const char* Basename(const char* path) {
 }
 
 // A complete ("X") event spanning `begin` to `end` on their session's track.
-std::string ChromeSpan(const char* name, const EventLedger::Record& begin,
-                       const EventLedger::Record& end) {
-  return StrFormat("{\"name\":\"%s\",\"cat\":\"clone\",\"ph\":\"X\","
-                   "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%u,"
-                   "\"args\":{\"begin_seq\":%llu,\"end_seq\":%llu}}",
-                   name, static_cast<double>(begin.time_ns) / 1e3,
-                   static_cast<double>(end.time_ns - begin.time_ns) / 1e3,
-                   end.session, static_cast<unsigned long long>(begin.seq),
-                   static_cast<unsigned long long>(end.seq));
+void AppendChromeSpan(std::string& out, const char* name,
+                      const EventLedger::Record& begin,
+                      const EventLedger::Record& end) {
+  out += "{\"name\":";
+  AppendJsonString(out, name);
+  out += ",\"cat\":\"clone\",\"ph\":\"X\",\"ts\":";
+  AppendJsonFixed3(out, static_cast<double>(begin.time_ns) / 1e3);
+  out += ",\"dur\":";
+  AppendJsonFixed3(out, static_cast<double>(end.time_ns - begin.time_ns) / 1e3);
+  out += ",\"pid\":0,\"tid\":";
+  AppendJsonUint(out, end.session);
+  out += ",\"args\":{\"begin_seq\":";
+  AppendJsonUint(out, begin.seq);
+  out += ",\"end_seq\":";
+  AppendJsonUint(out, end.seq);
+  out += "}}";
 }
 
 }  // namespace
@@ -146,10 +152,8 @@ void EventLedger::Reset(size_t capacity) {
 std::vector<EventLedger::Record> EventLedger::Events() const {
   std::vector<Record> out;
   out.reserve(count_);
-  // Oldest record sits at `head_` once the ring has wrapped, at 0 before.
-  const size_t start = count_ == ring_.size() ? head_ : 0;
   for (size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
+    out.push_back(at(i));
   }
   return out;
 }
@@ -157,11 +161,9 @@ std::vector<EventLedger::Record> EventLedger::Events() const {
 std::vector<EventLedger::Record> EventLedger::EventsForSession(
     SessionId session) const {
   std::vector<Record> out;
-  const size_t start = count_ == ring_.size() ? head_ : 0;
   for (size_t i = 0; i < count_; ++i) {
-    const Record& record = ring_[(start + i) % ring_.size()];
-    if (record.session == session) {
-      out.push_back(record);
+    if (at(i).session == session) {
+      out.push_back(at(i));
     }
   }
   return out;
@@ -178,32 +180,42 @@ void EventLedger::ClearTrip() {
 }
 
 void EventLedger::AppendRecordJson(std::string& out, const Record& record) {
-  out += StrFormat(
-      "{\"seq\":%llu,\"time_ns\":%lld,\"session\":%u,\"type\":\"%s\","
-      "\"a\":%llu,\"b\":%llu",
-      static_cast<unsigned long long>(record.seq),
-      static_cast<long long>(record.time_ns), record.session,
-      LedgerEventName(record.type), static_cast<unsigned long long>(record.a),
-      static_cast<unsigned long long>(record.b));
+  out += "{\"seq\":";
+  AppendJsonUint(out, record.seq);
+  out += ",\"time_ns\":";
+  AppendJsonInt(out, record.time_ns);
+  out += ",\"session\":";
+  AppendJsonUint(out, record.session);
+  out += ",\"type\":";
+  AppendJsonString(out, LedgerEventName(record.type));
+  out += ",\"a\":";
+  AppendJsonUint(out, record.a);
+  out += ",\"b\":";
+  AppendJsonUint(out, record.b);
   if (IsLogEvent(record.type) && record.a != 0) {
-    // `a` is the address of the static __FILE__ literal the log site passed.
+    // `a` is the address of the static __FILE__ literal the log site passed;
+    // a source file's basename needs no escaping.
     const char* file = reinterpret_cast<const char*>(
         static_cast<uintptr_t>(record.a));
-    out += StrFormat(",\"site\":\"%s:%llu\"", Basename(file),
-                     static_cast<unsigned long long>(record.b));
+    out += ",\"site\":\"";
+    out += Basename(file);
+    out += ':';
+    AppendJsonUint(out, record.b);
+    out += '"';
   }
   out += '}';
 }
 
 std::string EventLedger::ToJsonLines() const {
-  std::string out = StrFormat(
-      "{\"ledger\":\"potemkin\",\"schema_version\":%d,\"appended\":%llu,"
-      "\"dropped\":%llu}\n",
-      kSchemaVersion, static_cast<unsigned long long>(next_seq_),
-      static_cast<unsigned long long>(dropped_));
-  const size_t start = count_ == ring_.size() ? head_ : 0;
+  std::string out = "{\"ledger\":\"potemkin\",\"schema_version\":";
+  AppendJsonInt(out, kSchemaVersion);
+  out += ",\"appended\":";
+  AppendJsonUint(out, next_seq_);
+  out += ",\"dropped\":";
+  AppendJsonUint(out, dropped_);
+  out += "}\n";
   for (size_t i = 0; i < count_; ++i) {
-    AppendRecordJson(out, ring_[(start + i) % ring_.size()]);
+    AppendRecordJson(out, at(i));
     out += '\n';
   }
   return out;
@@ -214,32 +226,31 @@ bool EventLedger::WriteJsonLines(const std::string& path) const {
 }
 
 std::string EventLedger::ToChromeJson() const {
-  const std::vector<Record> events = Events();
   std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& event) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += '\n';
-    out += event;
+  // Every event starts on its own line; all but the first follow a comma.
+  const char* separator = "\n";
+  auto next_event = [&] {
+    out += separator;
+    separator = ",\n";
   };
   // One metadata event per distinct session, in order of first appearance, so
   // every attack gets its own named track; tid 0 collects session-less farm
   // events.
   std::unordered_set<SessionId> seen;
-  for (const Record& record : events) {
-    if (!seen.insert(record.session).second) {
+  for (size_t i = 0; i < count_; ++i) {
+    const SessionId session = at(i).session;
+    if (!seen.insert(session).second) {
       continue;
     }
-    if (record.session == kNoSession) {
-      emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-           "\"tid\":0,\"args\":{\"name\":\"farm\"}}");
+    next_event();
+    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":";
+    AppendJsonUint(out, session);
+    if (session == kNoSession) {
+      out += ",\"args\":{\"name\":\"farm\"}}";
     } else {
-      emit(StrFormat("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-                     "\"tid\":%u,\"args\":{\"name\":\"session %u\"}}",
-                     record.session, record.session));
+      out += ",\"args\":{\"name\":\"session ";
+      AppendJsonUint(out, session);
+      out += "\"}}";
     }
   }
   // Clone spans are derived from begin/end pairs on one session:
@@ -253,15 +264,22 @@ std::string EventLedger::ToChromeJson() const {
     const Record* started = nullptr;
   };
   std::unordered_map<SessionId, OpenClone> open;
-  for (const Record& record : events) {
-    emit(StrFormat("{\"name\":\"%s\",\"cat\":\"ledger\",\"ph\":\"i\","
-                   "\"s\":\"t\",\"ts\":%.3f,\"pid\":0,\"tid\":%u,"
-                   "\"args\":{\"seq\":%llu,\"a\":%llu,\"b\":%llu}}",
-                   LedgerEventName(record.type),
-                   static_cast<double>(record.time_ns) / 1e3, record.session,
-                   static_cast<unsigned long long>(record.seq),
-                   static_cast<unsigned long long>(record.a),
-                   static_cast<unsigned long long>(record.b)));
+  for (size_t i = 0; i < count_; ++i) {
+    const Record& record = at(i);
+    next_event();
+    out += "{\"name\":";
+    AppendJsonString(out, LedgerEventName(record.type));
+    out += ",\"cat\":\"ledger\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
+    AppendJsonFixed3(out, static_cast<double>(record.time_ns) / 1e3);
+    out += ",\"pid\":0,\"tid\":";
+    AppendJsonUint(out, record.session);
+    out += ",\"args\":{\"seq\":";
+    AppendJsonUint(out, record.seq);
+    out += ",\"a\":";
+    AppendJsonUint(out, record.a);
+    out += ",\"b\":";
+    AppendJsonUint(out, record.b);
+    out += "}}";
     if (record.session == kNoSession) {
       continue;
     }
@@ -272,7 +290,8 @@ std::string EventLedger::ToChromeJson() const {
       case LedgerEvent::kCloneStarted: {
         OpenClone& clone = open[record.session];
         if (clone.requested != nullptr) {
-          emit(ChromeSpan("clone_queue", *clone.requested, record));
+          next_event();
+          AppendChromeSpan(out, "clone_queue", *clone.requested, record);
           clone.requested = nullptr;
         }
         clone.started = &record;
@@ -282,7 +301,8 @@ std::string EventLedger::ToChromeJson() const {
       case LedgerEvent::kCloneFailed: {
         const auto it = open.find(record.session);
         if (it != open.end() && it->second.started != nullptr) {
-          emit(ChromeSpan("clone", *it->second.started, record));
+          next_event();
+          AppendChromeSpan(out, "clone", *it->second.started, record);
           it->second.started = nullptr;
         }
         break;

@@ -144,7 +144,14 @@ class EventLedger {
     }
   }
 
-  // Retained records, oldest first.
+  // Retained record `i`, oldest first (precondition: i < size()). Exporters
+  // walk the ring in place with this instead of copying it.
+  const Record& at(size_t i) const {
+    // The oldest record sits at `head_` once the ring has wrapped, at 0 before.
+    const size_t index = (count_ == ring_.size() ? head_ : 0) + i;
+    return ring_[index < ring_.size() ? index : index - ring_.size()];
+  }
+  // Retained records, oldest first (a copy, for tests and tools).
   std::vector<Record> Events() const;
   // Retained records carrying `session`, oldest first.
   std::vector<Record> EventsForSession(SessionId session) const;

@@ -1,26 +1,10 @@
 #include "src/obs/flight_recorder.h"
 
 #include <utility>
-#include <vector>
 
 #include "src/base/json_util.h"
-#include "src/base/strings.h"
 
 namespace potemkin {
-
-namespace {
-
-// Strips the trailing newline from HealthSnapshot::ToJson so the object embeds
-// cleanly inside the snapshots array.
-std::string TrimmedSnapshotJson(const HealthSnapshot& snapshot) {
-  std::string json = snapshot.ToJson();
-  while (!json.empty() && json.back() == '\n') {
-    json.pop_back();
-  }
-  return json;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig config, EventLedger* ledger,
                                HealthMonitor* health)
@@ -55,29 +39,34 @@ void FlightRecorder::Disarm() {
 std::string FlightRecorder::BuildDumpJson(const std::string& reason,
                                           int64_t time_ns,
                                           uint64_t trigger_seq) const {
-  std::string out = StrFormat(
-      "{\n  \"postmortem\": \"potemkin\",\n  \"schema_version\": %d,\n"
-      "  \"reason\": \"%s\",\n  \"time_ns\": %lld,\n  \"trigger_seq\": %llu,\n"
-      "  \"events\": [",
-      kSchemaVersion, reason.c_str(), static_cast<long long>(time_ns),
-      static_cast<unsigned long long>(trigger_seq));
+  std::string out = "{\n  \"postmortem\": \"potemkin\",\n  \"schema_version\": ";
+  AppendJsonInt(out, kSchemaVersion);
+  out += ",\n  \"reason\": ";
+  AppendJsonString(out, reason);
+  out += ",\n  \"time_ns\": ";
+  AppendJsonInt(out, time_ns);
+  out += ",\n  \"trigger_seq\": ";
+  AppendJsonUint(out, trigger_seq);
+  out += ",\n  \"events\": [";
   if (ledger_ != nullptr) {
-    const std::vector<EventLedger::Record> events = ledger_->Events();
-    const size_t start = events.size() > config_.max_events
-                             ? events.size() - config_.max_events
-                             : 0;
-    for (size_t i = start; i < events.size(); ++i) {
+    // The tail is read from the ring in place: the ledger may hold a million
+    // records, and the dump wants the last `max_events`.
+    const size_t size = ledger_->size();
+    const size_t start =
+        size > config_.max_events ? size - config_.max_events : 0;
+    for (size_t i = start; i < size; ++i) {
       out += i == start ? "\n    " : ",\n    ";
-      EventLedger::AppendRecordJson(out, events[i]);
+      EventLedger::AppendRecordJson(out, ledger_->at(i));
     }
   }
   out += "\n  ],\n  \"snapshots\": [";
   if (health_ != nullptr) {
-    const auto& history = health_->history();
-    const size_t start = history.size() > 2 ? history.size() - 2 : 0;
-    for (size_t i = start; i < history.size(); ++i) {
-      out += i == start ? "\n" : ",\n";
-      out += TrimmedSnapshotJson(history[i]);
+    // History keeps exactly the snapshots a dump carries (the last two).
+    const char* separator = "\n";
+    for (const HealthSnapshot& snapshot : health_->history()) {
+      out += separator;
+      separator = ",\n";
+      snapshot.AppendJson(out);
     }
   }
   out += "\n  ]\n}\n";
@@ -92,11 +81,9 @@ std::string FlightRecorder::Dump(const std::string& reason, int64_t time_ns,
     ++dumps_suppressed_;
     return "";
   }
-  const std::string path =
-      StrFormat("%s/%s_%llu_%s.json", config_.output_dir.c_str(),
-                config_.prefix.c_str(),
-                static_cast<unsigned long long>(dumps_written_),
-                reason.c_str());
+  const std::string path = config_.output_dir + "/" + config_.prefix + "_" +
+                           std::to_string(dumps_written_) + "_" + reason +
+                           ".json";
   if (!WriteStringToFile(path,
                          BuildDumpJson(reason, time_ns, trigger_seq))) {
     ++dumps_suppressed_;

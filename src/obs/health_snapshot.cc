@@ -8,8 +8,36 @@
 
 namespace potemkin {
 
-std::string HealthSnapshot::ToJson() const {
-  std::string out = "{\n  \"snapshot\": ";
+namespace {
+
+// Writes the registry's rows over `rows` in order, reusing each row's string
+// capacity; rows() is how many were written.
+class RowFiller final : public MetricRegistry::SampleVisitor {
+ public:
+  explicit RowFiller(std::vector<MetricRegistry::Sample>* rows) : rows_(rows) {}
+
+  void OnSample(const std::string& name, double value,
+                const std::string& unit) override {
+    if (used_ == rows_->size()) {
+      rows_->emplace_back();
+    }
+    MetricRegistry::Sample& row = (*rows_)[used_++];
+    row.name = name;
+    row.value = value;
+    row.unit = unit;
+  }
+
+  size_t rows() const { return used_; }
+
+ private:
+  std::vector<MetricRegistry::Sample>* rows_;
+  size_t used_ = 0;
+};
+
+}  // namespace
+
+void HealthSnapshot::AppendJson(std::string& out) const {
+  out += "{\n  \"snapshot\": ";
   AppendJsonString(out, source);
   out += ",\n  \"schema_version\": ";
   AppendJsonNumber(out, static_cast<double>(kSchemaVersion));
@@ -50,7 +78,13 @@ std::string HealthSnapshot::ToJson() const {
     AppendJsonString(out, metrics[i].unit);
     out += "}";
   }
-  out += "\n  ]\n}\n";
+  out += "\n  ]\n}";
+}
+
+std::string HealthSnapshot::ToJson() const {
+  std::string out;
+  AppendJson(out);
+  out += '\n';
   return out;
 }
 
@@ -85,17 +119,25 @@ void HealthMonitor::Stop() {
 }
 
 const HealthSnapshot& HealthMonitor::SampleNow() {
-  HealthSnapshot snapshot;
+  // The snapshot evicted last tick donates its storage, so a steady-state
+  // sample rewrites rows in place instead of allocating them.
+  HealthSnapshot snapshot = std::move(spare_);
   snapshot.source = source_;
   snapshot.time_ns = loop_->Now().nanos();
   snapshot.sequence = next_sequence_++;
-  snapshot.metrics = registry_->Collect();
+  snapshot.alerts.clear();
+  RowFiller filler(&snapshot.metrics);
+  registry_->VisitSamples(filler);
+  snapshot.metrics.resize(filler.rows());
   if (watchdog_ != nullptr) {
+    // An alert raised here can trip the flight recorder, which dumps the
+    // history as it stands: the new snapshot joins it only afterwards.
     watchdog_->Evaluate(snapshot);
     watchdog_->AppendAlertSamples(&snapshot.alerts);
   }
   history_.push_back(std::move(snapshot));
-  while (history_.size() > kMaxHistory) {
+  if (history_.size() > kMaxHistory) {
+    spare_ = std::move(history_.front());
     history_.pop_front();
   }
   if (sink_) {

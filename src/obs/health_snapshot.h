@@ -10,11 +10,13 @@
 // versions with exit 2) and `tools/metrics_dump` reads it back.
 //
 // `HealthMonitor` drives periodic snapshotting off the simulation's
-// `EventLoop::SchedulePeriodic`: one retained callback samples the registry at
-// a fixed virtual-time cadence, keeps a bounded history, and optionally feeds
-// each snapshot to a sink (the metrics_dump CLI, a file writer, a test).
-// Sampling cost is proportional to the number of registered metrics, never to
-// traffic — the packet path is untouched.
+// `EventLoop::SchedulePeriodic`: one retained callback fills a snapshot from
+// the registry's one row walk (`VisitSamples`) at a fixed virtual-time
+// cadence, keeps the last two (what the flight recorder embeds), and
+// optionally feeds each snapshot to a sink (the metrics_dump CLI, a file
+// writer, a test). Sampling cost is proportional to the number of registered
+// metrics, never to traffic — the packet path is untouched — and a
+// steady-state sample reuses the evicted snapshot's row storage.
 #ifndef SRC_OBS_HEALTH_SNAPSHOT_H_
 #define SRC_OBS_HEALTH_SNAPSHOT_H_
 
@@ -69,6 +71,9 @@ struct HealthSnapshot {
   //     "metrics": [ {"metric": "...", "value": ..., "unit": "..."}, ... ]
   //   }
   std::string ToJson() const;
+  // Appends the same JSON without the trailing newline (the flight recorder
+  // embeds snapshots this way).
+  void AppendJson(std::string& out) const;
   // Writes ToJson() to `path`; returns false on I/O failure.
   bool WriteJson(const std::string& path) const;
 };
@@ -77,8 +82,9 @@ class HealthMonitor {
  public:
   using Sink = std::function<void(const HealthSnapshot&)>;
 
-  // Snapshots retained in history(); older ones are discarded.
-  static constexpr size_t kMaxHistory = 256;
+  // Snapshots retained in history(); older ones are discarded. Two is what
+  // the flight recorder embeds in a dump; a sink sees every snapshot.
+  static constexpr size_t kMaxHistory = 2;
 
   HealthMonitor(EventLoop* loop, MetricRegistry* registry, std::string source);
   ~HealthMonitor();
@@ -111,6 +117,7 @@ class HealthMonitor {
   bool running_ = false;
   uint64_t next_sequence_ = 0;
   std::deque<HealthSnapshot> history_;
+  HealthSnapshot spare_;  // last evicted snapshot, recycled by SampleNow
   Sink sink_;
   Watchdog* watchdog_ = nullptr;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
 
 #include "src/base/log.h"
 
@@ -209,131 +208,70 @@ void MetricRegistry::RemoveProbes(const void* owner) {
   std::erase_if(probes_, [owner](const ProbeSlot& p) { return p.owner == owner; });
 }
 
-std::vector<MetricRegistry::Sample> MetricRegistry::Collect() const {
-  std::vector<Sample> out;
-  out.reserve(counters_.size() + gauges_.size() + 4 * histograms_.size() +
-              6 * latencies_.size() + probes_.size());
-  for (const CounterSlot& slot : counters_) {
-    out.push_back({slot.name,
-                   static_cast<double>(slot.value.load(std::memory_order_relaxed)),
-                   slot.unit});
+double MetricRegistry::HistogramSlot::Quantile(uint64_t total,
+                                               double q) const {
+  if (total == 0) {
+    return 0.0;
   }
-  for (const GaugeSlot& slot : gauges_) {
-    out.push_back({slot.name,
-                   static_cast<double>(slot.value.load(std::memory_order_relaxed)),
-                   slot.unit});
-  }
-  for (const HistogramSlot& slot : histograms_) {
-    uint64_t total = 0;
-    for (const auto& cell : slot.counts) {
-      total += cell.load(std::memory_order_relaxed);
-    }
-    auto quantile = [&](double q) -> double {
-      if (total == 0) {
-        return 0.0;
-      }
-      // Rank of the q-quantile element (0-based): for q=1 this is the last
-      // sample, so the scan stops at the highest non-empty bucket instead of
-      // falling through to the overall last bound.
-      const uint64_t rank = static_cast<uint64_t>(
-                                std::ceil(q * static_cast<double>(total))) -
-                            1;
-      uint64_t seen = 0;
-      for (size_t i = 0; i < slot.counts.size(); ++i) {
-        seen += slot.counts[i].load(std::memory_order_relaxed);
-        if (seen > rank) {
-          // Upper bound of the bucket; the overflow bucket reports its lower
-          // bound (the largest registered bound) — fixed buckets trade tail
-          // resolution for a zero-cost record.
-          return slot.bounds[std::min(i, slot.bounds.size() - 1)];
-        }
-      }
-      return slot.bounds.back();
-    };
-    out.push_back({slot.name + "_count", static_cast<double>(total), "count"});
-    out.push_back({slot.name + "_p50", quantile(0.50), slot.unit});
-    out.push_back({slot.name + "_p99", quantile(0.99), slot.unit});
-    out.push_back({slot.name + "_max", quantile(1.0), slot.unit});
-  }
-  for (const LatencySlot& slot : latencies_) {
-    LatencySnapshot snap;
-    LatencyHistogram(slot.cells.get()).SnapshotInto(&snap);
-    out.push_back({slot.rows[0], static_cast<double>(snap.total), "count"});
-    out.push_back({slot.rows[1], static_cast<double>(snap.Quantile(0.50)),
-                   slot.unit});
-    out.push_back({slot.rows[2], static_cast<double>(snap.Quantile(0.90)),
-                   slot.unit});
-    out.push_back({slot.rows[3], static_cast<double>(snap.Quantile(0.99)),
-                   slot.unit});
-    out.push_back({slot.rows[4], static_cast<double>(snap.Quantile(0.999)),
-                   slot.unit});
-    out.push_back({slot.rows[5], static_cast<double>(snap.max), slot.unit});
-  }
-  // Probes: registration order, later same-name registrations replace earlier
-  // samples in place (the newest live instance wins).
-  std::unordered_map<std::string, size_t> probe_at;
-  for (const ProbeSlot& slot : probes_) {
-    const Sample sample{slot.name, slot.probe(), slot.unit};
-    auto [it, inserted] = probe_at.emplace(slot.name, out.size());
-    if (inserted) {
-      out.push_back(sample);
-    } else {
-      out[it->second] = sample;
+  // Rank of the q-quantile element (0-based): for q=1 this is the last
+  // sample, so the scan stops at the highest non-empty bucket instead of
+  // falling through to the overall last bound.
+  const uint64_t rank =
+      static_cast<uint64_t>(std::ceil(q * static_cast<double>(total))) - 1;
+  uint64_t seen = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    seen += counts[i].load(std::memory_order_relaxed);
+    if (seen > rank) {
+      // Upper bound of the bucket; the overflow bucket reports its lower
+      // bound (the largest registered bound) — fixed buckets trade tail
+      // resolution for a zero-cost record.
+      return bounds[std::min(i, bounds.size() - 1)];
     }
   }
-  return out;
+  return bounds.back();
 }
 
 void MetricRegistry::VisitSamples(SampleVisitor& visitor) const {
+  static const std::string kCountUnit = "count";
   for (const CounterSlot& slot : counters_) {
     visitor.OnSample(
         slot.name,
-        static_cast<double>(slot.value.load(std::memory_order_relaxed)));
+        static_cast<double>(slot.value.load(std::memory_order_relaxed)),
+        slot.unit);
   }
   for (const GaugeSlot& slot : gauges_) {
     visitor.OnSample(
         slot.name,
-        static_cast<double>(slot.value.load(std::memory_order_relaxed)));
+        static_cast<double>(slot.value.load(std::memory_order_relaxed)),
+        slot.unit);
   }
   for (const HistogramSlot& slot : histograms_) {
     uint64_t total = 0;
     for (const auto& cell : slot.counts) {
       total += cell.load(std::memory_order_relaxed);
     }
-    auto quantile = [&](double q) -> double {
-      if (total == 0) {
-        return 0.0;
-      }
-      const uint64_t rank = static_cast<uint64_t>(
-                                std::ceil(q * static_cast<double>(total))) -
-                            1;
-      uint64_t seen = 0;
-      for (size_t i = 0; i < slot.counts.size(); ++i) {
-        seen += slot.counts[i].load(std::memory_order_relaxed);
-        if (seen > rank) {
-          return slot.bounds[std::min(i, slot.bounds.size() - 1)];
-        }
-      }
-      return slot.bounds.back();
-    };
-    visitor.OnSample(slot.rows[0], static_cast<double>(total));
-    visitor.OnSample(slot.rows[1], quantile(0.50));
-    visitor.OnSample(slot.rows[2], quantile(0.99));
-    visitor.OnSample(slot.rows[3], quantile(1.0));
+    visitor.OnSample(slot.rows[0], static_cast<double>(total), kCountUnit);
+    visitor.OnSample(slot.rows[1], slot.Quantile(total, 0.50), slot.unit);
+    visitor.OnSample(slot.rows[2], slot.Quantile(total, 0.99), slot.unit);
+    visitor.OnSample(slot.rows[3], slot.Quantile(total, 1.0), slot.unit);
   }
   for (const LatencySlot& slot : latencies_) {
     // The snapshot is a ~5.8 KB stack object: no heap traffic on the tick.
     LatencySnapshot snap;
     LatencyHistogram(slot.cells.get()).SnapshotInto(&snap);
-    visitor.OnSample(slot.rows[0], static_cast<double>(snap.total));
-    visitor.OnSample(slot.rows[1], static_cast<double>(snap.Quantile(0.50)));
-    visitor.OnSample(slot.rows[2], static_cast<double>(snap.Quantile(0.90)));
-    visitor.OnSample(slot.rows[3], static_cast<double>(snap.Quantile(0.99)));
-    visitor.OnSample(slot.rows[4], static_cast<double>(snap.Quantile(0.999)));
-    visitor.OnSample(slot.rows[5], static_cast<double>(snap.max));
+    visitor.OnSample(slot.rows[0], static_cast<double>(snap.total), kCountUnit);
+    visitor.OnSample(slot.rows[1], static_cast<double>(snap.Quantile(0.50)),
+                     slot.unit);
+    visitor.OnSample(slot.rows[2], static_cast<double>(snap.Quantile(0.90)),
+                     slot.unit);
+    visitor.OnSample(slot.rows[3], static_cast<double>(snap.Quantile(0.99)),
+                     slot.unit);
+    visitor.OnSample(slot.rows[4], static_cast<double>(snap.Quantile(0.999)),
+                     slot.unit);
+    visitor.OnSample(slot.rows[5], static_cast<double>(snap.max), slot.unit);
   }
   for (const ProbeSlot& slot : probes_) {
-    visitor.OnSample(slot.name, slot.probe());
+    visitor.OnSample(slot.name, slot.probe(), slot.unit);
   }
 }
 
@@ -349,13 +287,27 @@ bool MetricRegistry::SnapshotLatency(const std::string& name,
   return false;
 }
 
-double MetricRegistry::ValueOf(const std::string& name) const {
-  for (const Sample& sample : Collect()) {
-    if (sample.name == name) {
-      return sample.value;
+double MetricRegistry::ValueOf(std::string_view name) const {
+  // The last row with the name wins: among same-name probes that is the
+  // newest registration.
+  class Finder final : public SampleVisitor {
+   public:
+    explicit Finder(std::string_view name) : name_(name) {}
+    void OnSample(const std::string& row, double value,
+                  const std::string& /*unit*/) override {
+      if (row == name_) {
+        value_ = value;
+      }
     }
-  }
-  return 0.0;
+    double value() const { return value_; }
+
+   private:
+    std::string_view name_;
+    double value_ = 0.0;
+  };
+  Finder finder(name);
+  VisitSamples(finder);
+  return finder.value();
 }
 
 MetricRegistry& MetricRegistry::Default() {

@@ -20,7 +20,7 @@
 //   * LatencyHistogram — log-linear (HDR-style) distribution over the full
 //                        uint64 range at ~6.25% relative precision; recording
 //                        is a bit-scan plus one relaxed atomic add, and the
-//                        collect path extracts p50/p90/p99/p999 + exact max.
+//                        row walk extracts p50/p90/p99/p999 + exact max.
 //                        Per-shard instances snapshot into POD
 //                        `LatencySnapshot`s that merge deterministically in
 //                        shard order.
@@ -46,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace potemkin {
@@ -232,34 +233,31 @@ class MetricRegistry {
   // instances sharing a registry aggregate into one farm-wide distribution.
   LatencyHistogram RegisterLatency(const std::string& name,
                                    const std::string& unit);
-  // Registers a callback sampled at Collect() time. `owner` keys removal; the
-  // callback must stay valid until RemoveProbes(owner).
+  // Registers a callback sampled on every VisitSamples walk. `owner` keys
+  // removal; the callback must stay valid until RemoveProbes(owner).
   void RegisterProbe(const void* owner, const std::string& name,
                      const std::string& unit, std::function<double()> probe);
   // Drops every probe registered under `owner` (called from owner destructors).
   void RemoveProbes(const void* owner);
 
   // ---- Collection (snapshot path; never taken per packet) ----
-  // Counters and gauges emit one sample each; fixed histograms emit
-  // `<name>_count`, `<name>_p50`, `<name>_p99`, and `<name>_max`
-  // (bucket-upper-bound estimates); latency histograms emit `<name>_count`,
-  // `<name>_p50`, `<name>_p90`, `<name>_p99`, `<name>_p999` (bucket-upper-
-  // bound estimates) and `<name>_max` (exact); probes emit their sampled
-  // value. Duplicate probe names keep the most recent registration. Order is
-  // registration order.
-  std::vector<Sample> Collect() const;
-
-  // Zero-allocation alternative to Collect() for periodic exporters: walks
-  // every sample row in the same registration order and hands the visitor
-  // stable `const std::string&` names (histogram-derived row names are
-  // pre-built at registration). Differences from Collect(): duplicate probe
-  // names are NOT deduplicated — consumers whose format tolerates duplicate
-  // keys (the telemetry exporter's array-of-pairs schema) can take ticks
-  // without touching the heap.
+  // The registry's one row walk: health snapshots, telemetry lines and
+  // ValueOf all read it. Rows come in registration order within each kind:
+  // counters and gauges one row each; fixed histograms `<name>_count`,
+  // `<name>_p50`, `<name>_p99` and `<name>_max` (bucket-upper-bound
+  // estimates); latency histograms `<name>_count`, `<name>_p50`, `<name>_p90`,
+  // `<name>_p99`, `<name>_p999` (bucket-upper-bound estimates) and
+  // `<name>_max` (exact); then each probe's sampled value. `_count` rows carry
+  // the unit "count". Names and units are stable `const std::string&`s
+  // (histogram row names are pre-built at registration), so a walk allocates
+  // nothing. Probe names are not deduplicated: two live probes with one name
+  // yield two rows, and a reader that wants one value takes the last (the
+  // newest registration).
   class SampleVisitor {
    public:
     virtual ~SampleVisitor() = default;
-    virtual void OnSample(const std::string& name, double value) = 0;
+    virtual void OnSample(const std::string& name, double value,
+                          const std::string& unit) = 0;
   };
   void VisitSamples(SampleVisitor& visitor) const;
 
@@ -267,9 +265,11 @@ class MetricRegistry {
   // leaves `out` cleared) when no such histogram is registered.
   bool SnapshotLatency(const std::string& name, LatencySnapshot* out) const;
 
-  // Cold lookup of a single collected value by name (tests, benches).
-  // Returns 0.0 when absent.
-  double ValueOf(const std::string& name) const;
+  // Cold lookup of one row's value by name (tests, benches): a full
+  // VisitSamples walk that allocates nothing (the name is a view, so a literal
+  // builds no string). The last row with the name wins; returns 0.0 when
+  // absent.
+  double ValueOf(std::string_view name) const;
 
   size_t counter_count() const { return counters_.size(); }
   size_t probe_count() const { return probes_.size(); }
@@ -302,6 +302,9 @@ class MetricRegistry {
     // Pre-built derived row names (_count/_p50/_p99/_max) so VisitSamples
     // never concatenates strings on an exporter tick.
     std::array<std::string, 4> rows;
+
+    // Bound of the bucket holding the q-quantile of `total` samples.
+    double Quantile(uint64_t total, double q) const;
   };
   struct LatencySlot {
     std::string name;

@@ -1,14 +1,14 @@
 // Periodic JSONL time-series exporter over the metric registry: the farm's
 // flight-data recorder for soak runs.
 //
-// Where HealthSnapshot is a point-in-time document (one JSON object, built
-// with Collect(), allocating freely), the TelemetryExporter is a *stream*: on
-// every EventLoop tick it renders one JSONL line — sequence number, virtual
+// Where HealthSnapshot is a point-in-time document (one JSON object with
+// units and alert details), the TelemetryExporter is a *stream*: on every
+// EventLoop tick it renders one JSONL line — sequence number, virtual
 // timestamp, the firing watchdog alert set, and every registry sample row —
-// into a fixed ring of pre-reserved strings. Steady-state ticks therefore
-// allocate nothing: the registry is walked with VisitSamples (pre-built row
-// names, no Collect() vector), lines are rewritten in place, and the ring
-// bounds memory no matter how long the soak runs (old lines are overwritten;
+// into a fixed ring of pre-reserved strings. Both read the registry through
+// its one row walk, VisitSamples. Steady-state ticks allocate nothing: row
+// names are pre-built, lines are rewritten in place, and the ring bounds
+// memory no matter how long the soak runs (old lines are overwritten;
 // `dropped()` counts them). A sink callback observes every line as it is
 // produced, so a soak harness can stream the full series to disk while the
 // in-memory window stays bounded.
@@ -19,8 +19,8 @@
 //   sample:  {"seq":N,"time_ns":T,"alerts":["rule",...],
 //             "metrics":[["name",value],...]}
 // `metrics` is an array of [name,value] pairs, not an object: VisitSamples
-// does not deduplicate probe names (that would allocate), and duplicate keys
-// in a JSON object are a parsing trap — an array of pairs is dup-safe.
+// does not deduplicate probe names, and duplicate keys in a JSON object are a
+// parsing trap — an array of pairs is dup-safe.
 //
 // Everything rendered is *virtual-time deterministic*: same seed, same
 // traffic, same tick cadence → byte-identical series (CI diffs them with
@@ -98,7 +98,8 @@ class TelemetryExporter final : private MetricRegistry::SampleVisitor {
   const TelemetryExporterConfig& config() const { return config_; }
 
  private:
-  void OnSample(const std::string& name, double value) override;
+  void OnSample(const std::string& name, double value,
+                const std::string& unit) override;
 
   EventLoop* loop_;
   MetricRegistry* registry_;

@@ -7,11 +7,14 @@ namespace potemkin {
 
 namespace {
 
+// The last row with the name: among same-name probes, the newest
+// registration (as MetricRegistry::ValueOf reads it).
 const MetricRegistry::Sample* FindSample(const HealthSnapshot& snapshot,
                                          const std::string& name) {
-  for (const auto& sample : snapshot.metrics) {
-    if (sample.name == name) {
-      return &sample;
+  for (auto it = snapshot.metrics.rbegin(); it != snapshot.metrics.rend();
+       ++it) {
+    if (it->name == name) {
+      return &*it;
     }
   }
   return nullptr;

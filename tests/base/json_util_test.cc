@@ -4,9 +4,14 @@
 #include "src/base/json_util.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 
 #include "gtest/gtest.h"
+#include "src/base/rng.h"
 
 namespace potemkin {
 namespace {
@@ -134,6 +139,78 @@ TEST(JsonFieldsTest, ReadsTypedMembersAndRecordsTheFirstBadKey) {
 
   JsonFields not_object(MustParse("[1]"));
   EXPECT_FALSE(not_object.ok());
+}
+
+// The exact bytes every writer emits: CI byte-compares artifacts across runs
+// and commits, so these renderings may only change on purpose.
+TEST(JsonWriterTest, GoldenNumbersAndStrings) {
+  auto number = [](double value) {
+    std::string out;
+    AppendJsonNumber(out, value);
+    return out;
+  };
+  EXPECT_EQ(number(-0.0), "-0");
+  EXPECT_EQ(number(0.5), "0.5");
+  EXPECT_EQ(number(1e15 - 1), "999999999999999");
+  EXPECT_EQ(number(1e15), "1000000000000000");
+  EXPECT_EQ(number(-1e15), "-1000000000000000");
+  EXPECT_EQ(number(0.1), "0.10000000000000001");
+  EXPECT_EQ(number(5e-324), "4.9406564584124654e-324");
+  EXPECT_EQ(number(1.7976931348623157e308), "1.7976931348623157e+308");
+  EXPECT_EQ(number(std::nan("")), "null");
+  EXPECT_EQ(number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(number(-std::numeric_limits<double>::infinity()), "null");
+  std::string text;
+  AppendJsonString(text, "q\"b\\n\nc\x1f\x01");
+  EXPECT_EQ(text, "\"q\\\"b\\\\n\\nc\\u001f\\u0001\"");
+}
+
+TEST(JsonWriterTest, IntegersAreExactAndFixed3HasThreeDecimals) {
+  std::string out;
+  AppendJsonUint(out, (uint64_t{1} << 53) + 1);  // not representable as double
+  out += ' ';
+  AppendJsonUint(out, std::numeric_limits<uint64_t>::max());
+  out += ' ';
+  AppendJsonInt(out, std::numeric_limits<int64_t>::min());
+  out += ' ';
+  AppendJsonFixed3(out, 1003.751);
+  out += ' ';
+  AppendJsonFixed3(out, -0.0);
+  out += ' ';
+  AppendJsonFixed3(out, 2.0);
+  EXPECT_EQ(out,
+            "9007199254740993 18446744073709551615 -9223372036854775808 "
+            "1003.751 -0.000 2.000");
+}
+
+// The appenders promise printf's bytes (`%.0f` below 1e15, `%.17g` otherwise,
+// `%.3f` for Chrome timestamps) without printf; check that promise on random
+// bit patterns and on the integral/fractional values exports carry.
+TEST(JsonWriterTest, NumbersMatchPrintfRendering) {
+  Rng rng(20261022);
+  char buffer[512];
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t bits = rng.NextU64();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (i % 4 == 1) {
+      value = static_cast<double>(bits >> (bits & 63));  // integral values
+    } else if (i % 4 == 2) {
+      value = static_cast<double>(bits >> 20) / 1e3;  // microsecond stamps
+    }
+    if (!std::isfinite(value)) {
+      continue;
+    }
+    std::string got;
+    AppendJsonNumber(got, value);
+    const bool integral = value == std::floor(value) && std::fabs(value) < 1e15;
+    std::snprintf(buffer, sizeof(buffer), integral ? "%.0f" : "%.17g", value);
+    ASSERT_EQ(got, buffer) << "bits " << bits;
+    got.clear();
+    AppendJsonFixed3(got, value);
+    std::snprintf(buffer, sizeof(buffer), "%.3f", value);
+    ASSERT_EQ(got, buffer) << "bits " << bits;
+  }
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 # require that --session reconstructs the COMPLETE causal chain for a farm
 # address — first contact through clone, guest interaction, exploit,
 # infection, and the containment verdict — from ledger records alone. Also
-# pins the exit-code contract (unknown flag -> 2, untouched address -> 1) and
-# the JSONL/Chrome export schemas.
+# pins the exit-code contract (unknown flag -> 2, untouched address -> 1),
+# the JSONL/Chrome export schemas, and how the summary shows sessions whose
+# first contact the ring evicted.
 #
 # Expects: -DFORENSICS=<path to binary> -DWORK_DIR=<scratch dir>
 
@@ -81,5 +82,24 @@ expect_contains("trace.json" "${trace}" "session 1")
 # Clone spans derived from the ledger's begin/end pairs.
 expect_contains("trace.json" "${trace}" "\"ph\":\"X\"")
 expect_contains("trace.json" "${trace}" "\"name\":\"clone\"")
+
+# A replay longer than the ring evicts its oldest records. A session whose
+# first contact went has unknown endpoints: the summary prints `evicted`
+# (never 0.0.0.0), marks its story partial, and the footer counts it.
+execute_process(COMMAND "${FORENSICS}" --seconds=60
+                RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
+expect_status("evicted summary" 0 "${status}")
+string(FIND "${out}" "0.0.0.0" unknown_at)
+if(NOT unknown_at EQUAL -1)
+  message(FATAL_ERROR "summary prints 0.0.0.0 for an evicted endpoint:\n${out}")
+endif()
+expect_contains("evicted summary" "${out}" "evicted  evicted")
+expect_contains("evicted summary" "${out}" "(partial)")
+if(NOT out MATCHES "([0-9]+) sessions \\(20 shown, ([0-9]+) partial\\), [0-9]+ ledger records \\(([0-9]+) evicted\\)")
+  message(FATAL_ERROR "footer does not count partial sessions:\n${out}")
+endif()
+if(CMAKE_MATCH_2 EQUAL 0 OR CMAKE_MATCH_2 GREATER CMAKE_MATCH_1 OR CMAKE_MATCH_3 EQUAL 0)
+  message(FATAL_ERROR "footer counts are inconsistent:\n${out}")
+endif()
 
 message(STATUS "forensics CLI contract OK")

@@ -2,6 +2,8 @@
 // handlers, JSON exports, and the base-log hook routing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -260,6 +262,65 @@ TEST(EventLedgerTest, LogHookPreservesStderrOrdering) {
   EXPECT_LT(events[0].seq, events[1].seq);
   EXPECT_EQ(events[0].type, LedgerEvent::kLogWarning);
   EXPECT_EQ(events[1].type, LedgerEvent::kLogError);
+}
+
+// The exact JSONL and Chrome bytes: CI byte-compares exported ledgers, so
+// these renderings may only change on purpose.
+TEST(EventLedgerTest, GoldenJsonLinesBytes) {
+  static const char kFile[] = "src/obs/golden_site.cc";
+  const uint64_t site = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(kFile));
+  EventLedger ledger(2);
+  ledger.Append(LedgerEvent::kFirstContact, 3, 2000, 167837697, 167837698);
+  ledger.Append(LedgerEvent::kLogWarning, kNoSession, -1500, site, 42);
+  // b packs two host ids into 64 bits: above 2^53, so it must stay exact.
+  ledger.Append(LedgerEvent::kCtrlMigrate, kNoSession, 9000000000000000001,
+                std::numeric_limits<uint64_t>::max(), (uint64_t{1} << 53) + 1);
+  EXPECT_EQ(ledger.ToJsonLines(),
+            "{\"ledger\":\"potemkin\",\"schema_version\":1,\"appended\":3,"
+            "\"dropped\":1}\n"
+            "{\"seq\":1,\"time_ns\":-1500,\"session\":0,\"type\":\"log_warning\","
+            "\"a\":" + std::to_string(site) +
+                ",\"b\":42,\"site\":\"golden_site.cc:42\"}\n"
+            "{\"seq\":2,\"time_ns\":9000000000000000001,\"session\":0,"
+            "\"type\":\"ctrl_migrate\",\"a\":18446744073709551615,"
+            "\"b\":9007199254740993}\n");
+}
+
+TEST(EventLedgerTest, GoldenChromeBytes) {
+  EventLedger ledger(16);
+  ledger.Append(LedgerEvent::kChaosFault, kNoSession, 1501, 1, 2);
+  ledger.Append(LedgerEvent::kFirstContact, 3, 2000, 167837697, 167837698);
+  ledger.Append(LedgerEvent::kCloneRequested, 3, 2500, 167837698, 1);
+  ledger.Append(LedgerEvent::kCloneStarted, 3, 3750, 167837698, 1);
+  ledger.Append(LedgerEvent::kCloneDone, 3, 1003751, 9, 1000001);
+  EXPECT_EQ(
+      ledger.ToChromeJson(),
+      "{\"traceEvents\":[\n"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+      "\"args\":{\"name\":\"farm\"}},\n"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":3,"
+      "\"args\":{\"name\":\"session 3\"}},\n"
+      "{\"name\":\"chaos_fault\",\"cat\":\"ledger\",\"ph\":\"i\",\"s\":\"t\","
+      "\"ts\":1.501,\"pid\":0,\"tid\":0,\"args\":{\"seq\":0,\"a\":1,\"b\":2}},\n"
+      "{\"name\":\"first_contact\",\"cat\":\"ledger\",\"ph\":\"i\",\"s\":\"t\","
+      "\"ts\":2.000,\"pid\":0,\"tid\":3,"
+      "\"args\":{\"seq\":1,\"a\":167837697,\"b\":167837698}},\n"
+      "{\"name\":\"clone_requested\",\"cat\":\"ledger\",\"ph\":\"i\","
+      "\"s\":\"t\",\"ts\":2.500,\"pid\":0,\"tid\":3,"
+      "\"args\":{\"seq\":2,\"a\":167837698,\"b\":1}},\n"
+      "{\"name\":\"clone_started\",\"cat\":\"ledger\",\"ph\":\"i\",\"s\":\"t\","
+      "\"ts\":3.750,\"pid\":0,\"tid\":3,"
+      "\"args\":{\"seq\":3,\"a\":167837698,\"b\":1}},\n"
+      "{\"name\":\"clone_queue\",\"cat\":\"clone\",\"ph\":\"X\",\"ts\":2.500,"
+      "\"dur\":1.250,\"pid\":0,\"tid\":3,"
+      "\"args\":{\"begin_seq\":2,\"end_seq\":3}},\n"
+      "{\"name\":\"clone_done\",\"cat\":\"ledger\",\"ph\":\"i\",\"s\":\"t\","
+      "\"ts\":1003.751,\"pid\":0,\"tid\":3,"
+      "\"args\":{\"seq\":4,\"a\":9,\"b\":1000001}},\n"
+      "{\"name\":\"clone\",\"cat\":\"clone\",\"ph\":\"X\",\"ts\":3.750,"
+      "\"dur\":1000.001,\"pid\":0,\"tid\":3,"
+      "\"args\":{\"begin_seq\":3,\"end_seq\":4}}\n"
+      "],\"displayTimeUnit\":\"ms\"}\n");
 }
 
 }  // namespace

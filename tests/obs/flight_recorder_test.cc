@@ -132,5 +132,67 @@ TEST(FlightRecorderTest, DisarmStopsTripsAndDestructorDisarms) {
   ledger.Append(LedgerEvent::kContainmentBreach, 1, 0);  // must not crash
 }
 
+// The exact bytes of a whole dump: CI byte-compares post-mortem artifacts, so
+// this rendering may only change on purpose.
+TEST(FlightRecorderTest, GoldenDumpBytes) {
+  EventLoop loop;
+  MetricRegistry registry;
+  Counter packets = registry.RegisterCounter("rx.packets", "pkts");
+  HealthMonitor monitor(&loop, &registry, "farm");
+  for (int i = 0; i < 3; ++i) {
+    packets.Inc(1);
+    loop.RunFor(Duration::Millis(500));
+    monitor.SampleNow();  // the dump carries the last two samples
+  }
+  EventLedger ledger(4);
+  for (uint64_t i = 0; i < 6; ++i) {
+    ledger.Append(LedgerEvent::kPacketDelivered, 2,
+                  static_cast<int64_t>(i) * 1000, 167837697, 60 + i);
+  }
+  FlightRecorderConfig config;
+  config.max_events = 3;
+  FlightRecorder recorder(config, &ledger, &monitor);
+  EXPECT_EQ(recorder.BuildDumpJson("manual", 1500000000, 5),
+            "{\n"
+            "  \"postmortem\": \"potemkin\",\n"
+            "  \"schema_version\": 1,\n"
+            "  \"reason\": \"manual\",\n"
+            "  \"time_ns\": 1500000000,\n"
+            "  \"trigger_seq\": 5,\n"
+            "  \"events\": [\n"
+            "    {\"seq\":3,\"time_ns\":3000,\"session\":2,"
+            "\"type\":\"packet_delivered\",\"a\":167837697,\"b\":63},\n"
+            "    {\"seq\":4,\"time_ns\":4000,\"session\":2,"
+            "\"type\":\"packet_delivered\",\"a\":167837697,\"b\":64},\n"
+            "    {\"seq\":5,\"time_ns\":5000,\"session\":2,"
+            "\"type\":\"packet_delivered\",\"a\":167837697,\"b\":65}\n"
+            "  ],\n"
+            "  \"snapshots\": [\n"
+            "{\n"
+            "  \"snapshot\": \"farm\",\n"
+            "  \"schema_version\": 1,\n"
+            "  \"sequence\": 1,\n"
+            "  \"time_ns\": 1000000000,\n"
+            "  \"alerts_schema_version\": 1,\n"
+            "  \"alerts\": [],\n"
+            "  \"metrics\": [\n"
+            "    {\"metric\": \"rx.packets\", \"value\": 2, \"unit\": \"pkts\"}\n"
+            "  ]\n"
+            "},\n"
+            "{\n"
+            "  \"snapshot\": \"farm\",\n"
+            "  \"schema_version\": 1,\n"
+            "  \"sequence\": 2,\n"
+            "  \"time_ns\": 1500000000,\n"
+            "  \"alerts_schema_version\": 1,\n"
+            "  \"alerts\": [],\n"
+            "  \"metrics\": [\n"
+            "    {\"metric\": \"rx.packets\", \"value\": 3, \"unit\": \"pkts\"}\n"
+            "  ]\n"
+            "}\n"
+            "  ]\n"
+            "}\n");
+}
+
 }  // namespace
 }  // namespace potemkin

@@ -1,6 +1,9 @@
 // Tests for versioned health snapshots and the periodic HealthMonitor.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "src/base/event_loop.h"
 #include "src/obs/health_snapshot.h"
 #include "src/obs/metric_registry.h"
@@ -32,17 +35,21 @@ TEST(HealthMonitorTest, PeriodicSamplingAtVirtualCadence) {
   MetricRegistry registry;
   Counter c = registry.RegisterCounter("events", "count");
   HealthMonitor monitor(&loop, &registry, "test");
+  // The sink sees every sample; history keeps only the last kMaxHistory.
+  std::vector<HealthSnapshot> seen;
+  monitor.set_sink([&](const HealthSnapshot& snapshot) {
+    seen.push_back(snapshot);
+  });
   monitor.Start(Duration::Seconds(1));
   EXPECT_TRUE(monitor.running());
   loop.ScheduleAfter(Duration::Millis(2500), [&] { c.Inc(7); });
   loop.RunFor(Duration::Seconds(4));  // samples at t=1,2,3,4
-  ASSERT_EQ(monitor.history().size(), 4u);
+  ASSERT_EQ(seen.size(), 4u);
   EXPECT_EQ(monitor.samples_taken(), 4u);
   // Sequence and virtual timestamps are monotone and cadence-aligned.
   for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(monitor.history()[i].sequence, i);
-    EXPECT_EQ(monitor.history()[i].time_ns,
-              static_cast<int64_t>((i + 1) * 1000000000));
+    EXPECT_EQ(seen[i].sequence, i);
+    EXPECT_EQ(seen[i].time_ns, static_cast<int64_t>((i + 1) * 1000000000));
   }
   // The counter bump lands between samples 2 and 3.
   auto value_in = [](const HealthSnapshot& snapshot) {
@@ -53,8 +60,14 @@ TEST(HealthMonitorTest, PeriodicSamplingAtVirtualCadence) {
     }
     return -1.0;
   };
-  EXPECT_DOUBLE_EQ(value_in(monitor.history()[1]), 0.0);
-  EXPECT_DOUBLE_EQ(value_in(monitor.history()[2]), 7.0);
+  EXPECT_DOUBLE_EQ(value_in(seen[1]), 0.0);
+  EXPECT_DOUBLE_EQ(value_in(seen[2]), 7.0);
+  ASSERT_EQ(monitor.history().size(), HealthMonitor::kMaxHistory);
+  for (size_t i = 0; i < HealthMonitor::kMaxHistory; ++i) {
+    const HealthSnapshot& kept = monitor.history()[i];
+    EXPECT_EQ(kept.sequence, 4 - HealthMonitor::kMaxHistory + i);
+    EXPECT_EQ(kept.ToJson(), seen[kept.sequence].ToJson());
+  }
 }
 
 TEST(HealthMonitorTest, StopHaltsSamplingAndKeepsHistory) {
@@ -145,6 +158,43 @@ TEST(HealthMonitorTest, StartIsIdempotentWhileRunning) {
   loop.RunFor(Duration::Seconds(2));
   EXPECT_EQ(monitor.history().size(), 2u);
   EXPECT_EQ(loop.pending_events(), 1u);  // exactly one periodic armed
+}
+
+// The exact snapshot bytes: CI byte-compares snapshot artifacts, so this
+// rendering may only change on purpose.
+TEST(HealthSnapshotTest, GoldenJsonBytes) {
+  HealthSnapshot snapshot;
+  snapshot.source = "farm \"a\"";
+  snapshot.time_ns = 1000000000000001;  // above 1e15: the %.17g form
+  snapshot.sequence = 7;
+  snapshot.alerts.push_back(
+      {"clone_latency_p99", "clone.latency_ns_p99", 0.25, 1e6, true, 5});
+  snapshot.alerts.push_back({"breach", "escapes", -0.0, 0.0, false, 0});
+  snapshot.metrics.push_back({"gateway.rx.packets", 42.0, "count"});
+  snapshot.metrics.push_back({"pool.hit_rate", 0.1, "ratio"});
+  snapshot.metrics.push_back({"nan", std::nan(""), ""});
+  EXPECT_EQ(snapshot.ToJson(),
+            "{\n"
+            "  \"snapshot\": \"farm \\\"a\\\"\",\n"
+            "  \"schema_version\": 1,\n"
+            "  \"sequence\": 7,\n"
+            "  \"time_ns\": 1000000000000001,\n"
+            "  \"alerts_schema_version\": 1,\n"
+            "  \"alerts\": [\n"
+            "    {\"alert\": \"clone_latency_p99\", \"metric\": "
+            "\"clone.latency_ns_p99\", \"value\": 0.25, \"threshold\": 1000000, "
+            "\"firing\": true, \"since_ns\": 5},\n"
+            "    {\"alert\": \"breach\", \"metric\": \"escapes\", \"value\": -0, "
+            "\"threshold\": 0, \"firing\": false, \"since_ns\": 0}\n"
+            "  ],\n"
+            "  \"metrics\": [\n"
+            "    {\"metric\": \"gateway.rx.packets\", \"value\": 42, "
+            "\"unit\": \"count\"},\n"
+            "    {\"metric\": \"pool.hit_rate\", \"value\": 0.10000000000000001, "
+            "\"unit\": \"ratio\"},\n"
+            "    {\"metric\": \"nan\", \"value\": null, \"unit\": \"\"}\n"
+            "  ]\n"
+            "}\n");
 }
 
 }  // namespace

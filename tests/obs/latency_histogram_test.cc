@@ -9,6 +9,7 @@
 
 #include "src/base/rng.h"
 #include "src/obs/metric_registry.h"
+#include "tests/obs/sample_rows.h"
 
 namespace potemkin {
 namespace {
@@ -170,12 +171,12 @@ TEST(LatencyHistogramTest, SubtractBaselineGivesWindowedView) {
   EXPECT_LE(SnapOf(h).Quantile(0.25), 110u);
 }
 
-TEST(LatencyHistogramTest, CollectEmitsSixRowsPerLatency) {
+TEST(LatencyHistogramTest, WalkEmitsSixRowsPerLatency) {
   MetricRegistry registry;
   LatencyHistogram h = registry.RegisterLatency("lat", "ns");
   h.Record(50);
   h.Record(5000);
-  const std::vector<MetricRegistry::Sample> samples = registry.Collect();
+  const std::vector<MetricRegistry::Sample> samples = SampleRows(registry);
   std::vector<std::string> names;
   for (const auto& sample : samples) {
     names.push_back(sample.name);

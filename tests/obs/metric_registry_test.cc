@@ -5,13 +5,14 @@
 #include <map>
 
 #include "src/obs/metric_registry.h"
+#include "tests/obs/sample_rows.h"
 
 namespace potemkin {
 namespace {
 
 std::map<std::string, double> CollectMap(const MetricRegistry& registry) {
   std::map<std::string, double> out;
-  for (const auto& sample : registry.Collect()) {
+  for (const auto& sample : SampleRows(registry)) {
     out[sample.name] = sample.value;
   }
   return out;
@@ -24,7 +25,7 @@ TEST(MetricRegistryTest, CounterIncrementsAndCollects) {
   c.Inc(41);
   EXPECT_EQ(c.value(), 42u);
   EXPECT_DOUBLE_EQ(registry.ValueOf("pkts"), 42.0);
-  const auto samples = registry.Collect();
+  const auto samples = SampleRows(registry);
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].name, "pkts");
   EXPECT_EQ(samples[0].unit, "count");
@@ -145,20 +146,22 @@ TEST(MetricRegistryTest, DuplicateProbeNameKeepsLatest) {
   registry.RegisterProbe(&owner, "level", "count", [] { return 1.0; });
   registry.RegisterProbe(&owner, "level", "count", [] { return 9.0; });
   EXPECT_DOUBLE_EQ(registry.ValueOf("level"), 9.0);
-  // Both slots are retained (removal is by owner), but Collect folds them into
-  // a single sample carrying the latest registration's value.
-  size_t level_samples = 0;
-  for (const auto& sample : registry.Collect()) {
-    level_samples += sample.name == "level" ? 1 : 0;
+  // Both slots are retained (removal is by owner) and both are walked, in
+  // registration order, so the last row carries the latest registration.
+  std::vector<double> level_values;
+  for (const auto& sample : SampleRows(registry)) {
+    if (sample.name == "level") {
+      level_values.push_back(sample.value);
+    }
   }
-  EXPECT_EQ(level_samples, 1u);
+  EXPECT_EQ(level_values, (std::vector<double>{1.0, 9.0}));
 }
 
-TEST(MetricRegistryTest, CollectOrderIsRegistrationOrder) {
+TEST(MetricRegistryTest, RowOrderIsRegistrationOrder) {
   MetricRegistry registry;
   registry.RegisterCounter("z", "count");
   registry.RegisterCounter("a", "count");
-  const auto samples = registry.Collect();
+  const auto samples = SampleRows(registry);
   ASSERT_GE(samples.size(), 2u);
   EXPECT_EQ(samples[0].name, "z");
   EXPECT_EQ(samples[1].name, "a");

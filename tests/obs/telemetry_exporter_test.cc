@@ -197,5 +197,31 @@ TEST(TelemetryExporterTest, PrometheusTextRendersMetricsAndAlerts) {
             std::string::npos);
 }
 
+// The exact bytes of one series line: CI byte-compares soak series, so this
+// rendering may only change on purpose.
+TEST(TelemetryExporterTest, GoldenLineBytes) {
+  EventLoop loop;
+  MetricRegistry registry;
+  registry.RegisterCounter("rx.packets", "pkts").Inc(3);
+  registry.RegisterGauge("queue.depth", "items").Set(-2);
+  FixedHistogram bytes = registry.RegisterHistogram("bytes", "B", {100, 200});
+  bytes.Record(50);
+  bytes.Record(150);
+  bytes.Record(250);
+  registry.RegisterLatency("lat_ns", "ns").Record(1000);
+  int owner = 0;
+  registry.RegisterProbe(&owner, "hit_rate", "ratio", [] { return 0.1; });
+  TelemetryExporter exporter(&loop, &registry);
+  loop.RunFor(Duration::Millis(1500));
+  EXPECT_EQ(exporter.SampleNow(),
+            "{\"seq\":0,\"time_ns\":1500000000,\"alerts\":[],\"metrics\":["
+            "[\"rx.packets\",3],[\"queue.depth\",-2],[\"bytes_count\",3],"
+            "[\"bytes_p50\",200],[\"bytes_p99\",200],[\"bytes_max\",200],"
+            "[\"lat_ns_count\",1],[\"lat_ns_p50\",1023],[\"lat_ns_p90\",1023],"
+            "[\"lat_ns_p99\",1023],[\"lat_ns_p999\",1023],[\"lat_ns_max\",1000],"
+            "[\"hit_rate\",0.10000000000000001]]}");
+  registry.RemoveProbes(&owner);
+}
+
 }  // namespace
 }  // namespace potemkin

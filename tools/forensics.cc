@@ -12,7 +12,9 @@
 //   forensics [--session=IP] [--jsonl=PATH] [--chrome=PATH]
 //             [--seconds=N] [--seed=N] [--chaos=N]
 //
-//   (no flags)      per-session summary table, busiest sessions first
+//   (no flags)      per-session summary table, busiest sessions first; a
+//                   session whose first contact the ring evicted shows
+//                   `evicted` endpoints and a "(partial)" story
 //   --session=IP    full first-packet -> clone -> interaction -> containment
 //                   timeline for the session first-contacted at farm address IP
 //                   (or sourced from IP)
@@ -222,11 +224,17 @@ struct SessionSummary {
   size_t events = 0;
   bool infected = false;
   bool contained = false;  // any containment verdict recorded
+  // The first contact is still in the ring. When it is not, the ring evicted
+  // the session's start: its endpoints are unknown, and its span and story
+  // begin at the oldest retained record.
+  bool complete = false;
 };
 
-int PrintSummary(Honeyfarm& farm, const std::vector<EventLedger::Record>& all) {
+int PrintSummary(Honeyfarm& farm) {
+  const EventLedger& ledger = farm.ledger();
   std::map<SessionId, SessionSummary> sessions;
-  for (const auto& r : all) {
+  for (size_t i = 0; i < ledger.size(); ++i) {
+    const EventLedger::Record& r = ledger.at(i);
     if (r.session == kNoSession) {
       continue;
     }
@@ -241,6 +249,7 @@ int PrintSummary(Honeyfarm& farm, const std::vector<EventLedger::Record>& all) {
       case LedgerEvent::kFirstContact:
         s.source = Ipv4Address(static_cast<uint32_t>(r.a));
         s.target = Ipv4Address(static_cast<uint32_t>(r.b));
+        s.complete = true;
         break;
       case LedgerEvent::kInfection:
         s.infected = true;
@@ -266,14 +275,24 @@ int PrintSummary(Honeyfarm& farm, const std::vector<EventLedger::Record>& all) {
             });
   Table table({"session", "source", "target", "events", "span", "story"});
   const size_t show = std::min<size_t>(order.size(), 20);
-  for (size_t i = 0; i < show; ++i) {
+  size_t partial = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
     const SessionSummary& s = order[i];
+    partial += s.complete ? 0 : 1;
+    if (i >= show) {
+      continue;
+    }
     std::string story = s.infected ? "INFECTED" : "probed";
     if (s.contained) {
       story += "+contained";
     }
-    table.AddRow({StrFormat("%u", s.session), s.source.ToString(),
-                  s.target.ToString(), StrFormat("%zu", s.events),
+    if (!s.complete) {
+      story += " (partial)";
+    }
+    table.AddRow({StrFormat("%u", s.session),
+                  s.complete ? s.source.ToString() : "evicted",
+                  s.complete ? s.target.ToString() : "evicted",
+                  StrFormat("%zu", s.events),
                   StrFormat("%.3fs", static_cast<double>(s.last_ns - s.first_ns) / 1e9),
                   story});
   }
@@ -281,12 +300,13 @@ int PrintSummary(Honeyfarm& farm, const std::vector<EventLedger::Record>& all) {
   // Control-plane decisions are farm-scoped (no session), so they would be
   // invisible in the per-session table — give them their own timeline.
   size_t ctrl_events = 0;
-  for (const auto& r : all) {
-    ctrl_events += IsControlPlaneEvent(r.type) ? 1 : 0;
+  for (size_t i = 0; i < ledger.size(); ++i) {
+    ctrl_events += IsControlPlaneEvent(ledger.at(i).type) ? 1 : 0;
   }
   if (ctrl_events > 0) {
     std::printf("\ncontrol plane (%zu events):\n", ctrl_events);
-    for (const auto& r : all) {
+    for (size_t i = 0; i < ledger.size(); ++i) {
+      const EventLedger::Record& r = ledger.at(i);
       if (IsControlPlaneEvent(r.type)) {
         std::printf("  [%10.6fs] %-22s %s\n",
                     static_cast<double>(r.time_ns) / 1e9,
@@ -294,18 +314,21 @@ int PrintSummary(Honeyfarm& farm, const std::vector<EventLedger::Record>& all) {
       }
     }
   }
-  std::printf("%zu sessions (%zu shown), %llu ledger records (%llu evicted)\n",
-              order.size(), show,
-              static_cast<unsigned long long>(farm.ledger().appended()),
-              static_cast<unsigned long long>(farm.ledger().dropped()));
+  const std::string partial_note =
+      partial > 0 ? StrFormat(", %zu partial", partial) : "";
+  std::printf("%zu sessions (%zu shown%s), %llu ledger records (%llu evicted)\n",
+              order.size(), show, partial_note.c_str(),
+              static_cast<unsigned long long>(ledger.appended()),
+              static_cast<unsigned long long>(ledger.dropped()));
   return 0;
 }
 
-int PrintSessionTimeline(Honeyfarm& farm, Ipv4Address ip,
-                         const std::vector<EventLedger::Record>& all) {
+int PrintSessionTimeline(Honeyfarm& farm, Ipv4Address ip) {
+  const EventLedger& ledger = farm.ledger();
   // The session whose first contact targeted (or came from) `ip`.
   SessionId session = kNoSession;
-  for (const auto& r : all) {
+  for (size_t i = 0; i < ledger.size(); ++i) {
+    const EventLedger::Record& r = ledger.at(i);
     if (r.type == LedgerEvent::kFirstContact &&
         (r.b == ip.value() || r.a == ip.value())) {
       session = r.session;
@@ -354,8 +377,9 @@ int Run(int argc, char** argv) {
   config.server_template.engine.latency = CloneLatencyModel::Optimized();
   config.server_template.engine.control_plane_workers = 2;
   config.gateway.containment.mode = OutboundMode::kReflect;
-  // Size the ring for the whole replay so no session's first contact is
-  // evicted before the report runs (~48 bytes/record).
+  // 48 MB of ring (~48 bytes/record) holds the default 30 s replay whole.
+  // Longer replays evict their oldest records: the summary then marks each
+  // session whose first contact went as partial.
   config.ledger_capacity = 1u << 20;
   Honeyfarm farm(config);
 
@@ -392,7 +416,6 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  const auto all = farm.ledger().Events();
   const std::string session_ip = flags.GetString("session", "");
   if (!session_ip.empty()) {
     const auto ip = Ipv4Address::Parse(session_ip);
@@ -401,9 +424,9 @@ int Run(int argc, char** argv) {
       PrintUsage();
       return 2;
     }
-    return PrintSessionTimeline(farm, *ip, all);
+    return PrintSessionTimeline(farm, *ip);
   }
-  return PrintSummary(farm, all);
+  return PrintSummary(farm);
 }
 
 }  // namespace
