@@ -255,7 +255,7 @@ void RunDensitySection(BenchReport& report, uint64_t target, double rate) {
               r.prefetch_hit_rate);
 
   report.Add("density_peak_concurrent_clones",
-             static_cast<double>(r.peak_concurrent), "vms", Better::kLower,
+             static_cast<double>(r.peak_concurrent), "vms", Better::kHigher,
              Kind::kDeterministic);
   report.Add("density_clones_completed", static_cast<double>(r.completed),
              "clones", Better::kLower, Kind::kDeterministic);

@@ -116,7 +116,7 @@ void Run(int argc, char** argv) {
                            static_cast<unsigned long long>(host_mb),
                            kind == CloneKind::kFlash ? "flash" : "fullcopy"),
                  static_cast<double>(r.max_vms), "vms",
-                 Better::kLower, Kind::kDeterministic);
+                 Better::kHigher, Kind::kDeterministic);
     }
   }
   std::printf("%s\n", table.ToAscii().c_str());
