@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
       json += ",\"";
       json += key;
       json += "\":";
-      AppendJsonUint(json, value);
+      AppendJsonInt(json, value);
     };
     field("seed", seed);
     field("faults_injected", report.faults_injected);
@@ -174,11 +174,13 @@ int main(int argc, char** argv) {
     field("rotations", stats.rotations);
     json += contained ? ",\"contained\":true}\n" : ",\"contained\":false}\n";
     if (!farm.ledger().WriteJsonLines(ledger_path)) {
-      std::fprintf(stderr, "farm_chaos: cannot write %s\n", ledger_path.c_str());
+      std::fprintf(stderr, "farm_chaos: cannot write %s\n",
+                   ledger_path.c_str());
       return 2;
     }
     if (!WriteStringToFile(report_path, json)) {
-      std::fprintf(stderr, "farm_chaos: cannot write %s\n", report_path.c_str());
+      std::fprintf(stderr, "farm_chaos: cannot write %s\n",
+                   report_path.c_str());
       return 2;
     }
     std::printf("artifacts: %s, %s\n", ledger_path.c_str(),

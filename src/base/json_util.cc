@@ -22,13 +22,6 @@ void AppendChars(std::string& out, double value, std::chars_format format,
   out.append(buffer, result.ptr);
 }
 
-template <typename Int>
-void AppendInteger(std::string& out, Int value) {
-  char buffer[24];
-  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  out.append(buffer, result.ptr);
-}
-
 }  // namespace
 
 void AppendJsonString(std::string& out, std::string_view value) {
@@ -66,14 +59,6 @@ void AppendJsonNumber(std::string& out, double value) {
   } else {
     AppendChars(out, value, std::chars_format::general, 17);
   }
-}
-
-void AppendJsonUint(std::string& out, uint64_t value) {
-  AppendInteger(out, value);
-}
-
-void AppendJsonInt(std::string& out, int64_t value) {
-  AppendInteger(out, value);
 }
 
 void AppendJsonFixed3(std::string& out, double value) {

@@ -16,9 +16,10 @@
 #ifndef SRC_BASE_JSON_UTIL_H_
 #define SRC_BASE_JSON_UTIL_H_
 
-#include <cstdint>
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,8 +37,12 @@ void AppendJsonNumber(std::string& out, double value);
 
 // Appends an integer exactly. Ledger arguments and sequence numbers can exceed
 // 2^53, so they must not round-trip through `double`.
-void AppendJsonUint(std::string& out, uint64_t value);
-void AppendJsonInt(std::string& out, int64_t value);
+template <typename Int>
+  requires std::is_integral_v<Int>
+void AppendJsonInt(std::string& out, Int value) {
+  char buffer[24];
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
 
 // Appends `value` with exactly three decimals (`%.3f`): Chrome trace `ts` and
 // `dur` fields, in microseconds with nanosecond resolution.

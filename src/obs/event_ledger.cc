@@ -33,11 +33,11 @@ void AppendChromeSpan(std::string& out, const char* name,
   out += ",\"dur\":";
   AppendJsonFixed3(out, static_cast<double>(end.time_ns - begin.time_ns) / 1e3);
   out += ",\"pid\":0,\"tid\":";
-  AppendJsonUint(out, end.session);
+  AppendJsonInt(out, end.session);
   out += ",\"args\":{\"begin_seq\":";
-  AppendJsonUint(out, begin.seq);
+  AppendJsonInt(out, begin.seq);
   out += ",\"end_seq\":";
-  AppendJsonUint(out, end.seq);
+  AppendJsonInt(out, end.seq);
   out += "}}";
 }
 
@@ -181,17 +181,17 @@ void EventLedger::ClearTrip() {
 
 void EventLedger::AppendRecordJson(std::string& out, const Record& record) {
   out += "{\"seq\":";
-  AppendJsonUint(out, record.seq);
+  AppendJsonInt(out, record.seq);
   out += ",\"time_ns\":";
   AppendJsonInt(out, record.time_ns);
   out += ",\"session\":";
-  AppendJsonUint(out, record.session);
+  AppendJsonInt(out, record.session);
   out += ",\"type\":";
   AppendJsonString(out, LedgerEventName(record.type));
   out += ",\"a\":";
-  AppendJsonUint(out, record.a);
+  AppendJsonInt(out, record.a);
   out += ",\"b\":";
-  AppendJsonUint(out, record.b);
+  AppendJsonInt(out, record.b);
   if (IsLogEvent(record.type) && record.a != 0) {
     // `a` is the address of the static __FILE__ literal the log site passed;
     // a source file's basename needs no escaping.
@@ -200,7 +200,7 @@ void EventLedger::AppendRecordJson(std::string& out, const Record& record) {
     out += ",\"site\":\"";
     out += Basename(file);
     out += ':';
-    AppendJsonUint(out, record.b);
+    AppendJsonInt(out, record.b);
     out += '"';
   }
   out += '}';
@@ -210,9 +210,9 @@ std::string EventLedger::ToJsonLines() const {
   std::string out = "{\"ledger\":\"potemkin\",\"schema_version\":";
   AppendJsonInt(out, kSchemaVersion);
   out += ",\"appended\":";
-  AppendJsonUint(out, next_seq_);
+  AppendJsonInt(out, next_seq_);
   out += ",\"dropped\":";
-  AppendJsonUint(out, dropped_);
+  AppendJsonInt(out, dropped_);
   out += "}\n";
   for (size_t i = 0; i < count_; ++i) {
     AppendRecordJson(out, at(i));
@@ -244,12 +244,12 @@ std::string EventLedger::ToChromeJson() const {
     }
     next_event();
     out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":";
-    AppendJsonUint(out, session);
+    AppendJsonInt(out, session);
     if (session == kNoSession) {
       out += ",\"args\":{\"name\":\"farm\"}}";
     } else {
       out += ",\"args\":{\"name\":\"session ";
-      AppendJsonUint(out, session);
+      AppendJsonInt(out, session);
       out += "\"}}";
     }
   }
@@ -272,13 +272,13 @@ std::string EventLedger::ToChromeJson() const {
     out += ",\"cat\":\"ledger\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
     AppendJsonFixed3(out, static_cast<double>(record.time_ns) / 1e3);
     out += ",\"pid\":0,\"tid\":";
-    AppendJsonUint(out, record.session);
+    AppendJsonInt(out, record.session);
     out += ",\"args\":{\"seq\":";
-    AppendJsonUint(out, record.seq);
+    AppendJsonInt(out, record.seq);
     out += ",\"a\":";
-    AppendJsonUint(out, record.a);
+    AppendJsonInt(out, record.a);
     out += ",\"b\":";
-    AppendJsonUint(out, record.b);
+    AppendJsonInt(out, record.b);
     out += "}}";
     if (record.session == kNoSession) {
       continue;

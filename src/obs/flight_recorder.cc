@@ -39,14 +39,15 @@ void FlightRecorder::Disarm() {
 std::string FlightRecorder::BuildDumpJson(const std::string& reason,
                                           int64_t time_ns,
                                           uint64_t trigger_seq) const {
-  std::string out = "{\n  \"postmortem\": \"potemkin\",\n  \"schema_version\": ";
+  std::string out =
+      "{\n  \"postmortem\": \"potemkin\",\n  \"schema_version\": ";
   AppendJsonInt(out, kSchemaVersion);
   out += ",\n  \"reason\": ";
   AppendJsonString(out, reason);
   out += ",\n  \"time_ns\": ";
   AppendJsonInt(out, time_ns);
   out += ",\n  \"trigger_seq\": ";
-  AppendJsonUint(out, trigger_seq);
+  AppendJsonInt(out, trigger_seq);
   out += ",\n  \"events\": [";
   if (ledger_ != nullptr) {
     // The tail is read from the ring in place: the ledger may hold a million

@@ -8,34 +8,6 @@
 
 namespace potemkin {
 
-namespace {
-
-// Writes the registry's rows over `rows` in order, reusing each row's string
-// capacity; rows() is how many were written.
-class RowFiller final : public MetricRegistry::SampleVisitor {
- public:
-  explicit RowFiller(std::vector<MetricRegistry::Sample>* rows) : rows_(rows) {}
-
-  void OnSample(const std::string& name, double value,
-                const std::string& unit) override {
-    if (used_ == rows_->size()) {
-      rows_->emplace_back();
-    }
-    MetricRegistry::Sample& row = (*rows_)[used_++];
-    row.name = name;
-    row.value = value;
-    row.unit = unit;
-  }
-
-  size_t rows() const { return used_; }
-
- private:
-  std::vector<MetricRegistry::Sample>* rows_;
-  size_t used_ = 0;
-};
-
-}  // namespace
-
 void HealthSnapshot::AppendJson(std::string& out) const {
   out += "{\n  \"snapshot\": ";
   AppendJsonString(out, source);
@@ -126,9 +98,18 @@ const HealthSnapshot& HealthMonitor::SampleNow() {
   snapshot.time_ns = loop_->Now().nanos();
   snapshot.sequence = next_sequence_++;
   snapshot.alerts.clear();
-  RowFiller filler(&snapshot.metrics);
-  registry_->VisitSamples(filler);
-  snapshot.metrics.resize(filler.rows());
+  size_t rows = 0;
+  registry_->VisitSamples([&](const std::string& name, double value,
+                              const std::string& unit) {
+    if (rows == snapshot.metrics.size()) {
+      snapshot.metrics.emplace_back();
+    }
+    MetricRegistry::Sample& row = snapshot.metrics[rows++];
+    row.name = name;  // assignments reuse the recycled strings' capacity
+    row.value = value;
+    row.unit = unit;
+  });
+  snapshot.metrics.resize(rows);
   if (watchdog_ != nullptr) {
     // An alert raised here can trip the flight recorder, which dumps the
     // history as it stands: the new snapshot joins it only afterwards.

@@ -231,50 +231,6 @@ double MetricRegistry::HistogramSlot::Quantile(uint64_t total,
   return bounds.back();
 }
 
-void MetricRegistry::VisitSamples(SampleVisitor& visitor) const {
-  static const std::string kCountUnit = "count";
-  for (const CounterSlot& slot : counters_) {
-    visitor.OnSample(
-        slot.name,
-        static_cast<double>(slot.value.load(std::memory_order_relaxed)),
-        slot.unit);
-  }
-  for (const GaugeSlot& slot : gauges_) {
-    visitor.OnSample(
-        slot.name,
-        static_cast<double>(slot.value.load(std::memory_order_relaxed)),
-        slot.unit);
-  }
-  for (const HistogramSlot& slot : histograms_) {
-    uint64_t total = 0;
-    for (const auto& cell : slot.counts) {
-      total += cell.load(std::memory_order_relaxed);
-    }
-    visitor.OnSample(slot.rows[0], static_cast<double>(total), kCountUnit);
-    visitor.OnSample(slot.rows[1], slot.Quantile(total, 0.50), slot.unit);
-    visitor.OnSample(slot.rows[2], slot.Quantile(total, 0.99), slot.unit);
-    visitor.OnSample(slot.rows[3], slot.Quantile(total, 1.0), slot.unit);
-  }
-  for (const LatencySlot& slot : latencies_) {
-    // The snapshot is a ~5.8 KB stack object: no heap traffic on the tick.
-    LatencySnapshot snap;
-    LatencyHistogram(slot.cells.get()).SnapshotInto(&snap);
-    visitor.OnSample(slot.rows[0], static_cast<double>(snap.total), kCountUnit);
-    visitor.OnSample(slot.rows[1], static_cast<double>(snap.Quantile(0.50)),
-                     slot.unit);
-    visitor.OnSample(slot.rows[2], static_cast<double>(snap.Quantile(0.90)),
-                     slot.unit);
-    visitor.OnSample(slot.rows[3], static_cast<double>(snap.Quantile(0.99)),
-                     slot.unit);
-    visitor.OnSample(slot.rows[4], static_cast<double>(snap.Quantile(0.999)),
-                     slot.unit);
-    visitor.OnSample(slot.rows[5], static_cast<double>(snap.max), slot.unit);
-  }
-  for (const ProbeSlot& slot : probes_) {
-    visitor.OnSample(slot.name, slot.probe(), slot.unit);
-  }
-}
-
 bool MetricRegistry::SnapshotLatency(const std::string& name,
                                      LatencySnapshot* out) const {
   for (const LatencySlot& slot : latencies_) {
@@ -288,26 +244,14 @@ bool MetricRegistry::SnapshotLatency(const std::string& name,
 }
 
 double MetricRegistry::ValueOf(std::string_view name) const {
-  // The last row with the name wins: among same-name probes that is the
-  // newest registration.
-  class Finder final : public SampleVisitor {
-   public:
-    explicit Finder(std::string_view name) : name_(name) {}
-    void OnSample(const std::string& row, double value,
-                  const std::string& /*unit*/) override {
-      if (row == name_) {
-        value_ = value;
-      }
+  double value = 0.0;
+  VisitSamples([&](const std::string& row, double row_value,
+                   const std::string& /*unit*/) {
+    if (row == name) {
+      value = row_value;  // the last row with the name wins
     }
-    double value() const { return value_; }
-
-   private:
-    std::string_view name_;
-    double value_ = 0.0;
-  };
-  Finder finder(name);
-  VisitSamples(finder);
-  return finder.value();
+  });
+  return value;
 }
 
 MetricRegistry& MetricRegistry::Default() {

@@ -242,24 +242,54 @@ class MetricRegistry {
 
   // ---- Collection (snapshot path; never taken per packet) ----
   // The registry's one row walk: health snapshots, telemetry lines and
-  // ValueOf all read it. Rows come in registration order within each kind:
-  // counters and gauges one row each; fixed histograms `<name>_count`,
-  // `<name>_p50`, `<name>_p99` and `<name>_max` (bucket-upper-bound
-  // estimates); latency histograms `<name>_count`, `<name>_p50`, `<name>_p90`,
-  // `<name>_p99`, `<name>_p999` (bucket-upper-bound estimates) and
-  // `<name>_max` (exact); then each probe's sampled value. `_count` rows carry
-  // the unit "count". Names and units are stable `const std::string&`s
-  // (histogram row names are pre-built at registration), so a walk allocates
-  // nothing. Probe names are not deduplicated: two live probes with one name
-  // yield two rows, and a reader that wants one value takes the last (the
-  // newest registration).
-  class SampleVisitor {
-   public:
-    virtual ~SampleVisitor() = default;
-    virtual void OnSample(const std::string& name, double value,
-                          const std::string& unit) = 0;
-  };
-  void VisitSamples(SampleVisitor& visitor) const;
+  // ValueOf all read it. Calls `visit(name, value, unit)` once per row, in
+  // registration order within each kind: counters and gauges one row each;
+  // fixed histograms `<name>_count`, `<name>_p50`, `<name>_p99` and
+  // `<name>_max` (bucket-upper-bound estimates); latency histograms
+  // `<name>_count`, `<name>_p50`, `<name>_p90`, `<name>_p99`, `<name>_p999`
+  // (bucket-upper-bound estimates) and `<name>_max` (exact); then each
+  // probe's sampled value. `_count` rows carry the unit "count". Names and
+  // units are stable `const std::string&`s (histogram row names are pre-built
+  // at registration), so a walk allocates nothing. Probe names are not
+  // deduplicated: two live probes with one name yield two rows, and a reader
+  // that wants one value takes the last (the newest registration).
+  template <typename Visit>
+  void VisitSamples(Visit&& visit) const {
+    for (const CounterSlot& slot : counters_) {
+      visit(slot.name,
+            static_cast<double>(slot.value.load(std::memory_order_relaxed)),
+            slot.unit);
+    }
+    for (const GaugeSlot& slot : gauges_) {
+      visit(slot.name,
+            static_cast<double>(slot.value.load(std::memory_order_relaxed)),
+            slot.unit);
+    }
+    for (const HistogramSlot& slot : histograms_) {
+      uint64_t total = 0;
+      for (const auto& cell : slot.counts) {
+        total += cell.load(std::memory_order_relaxed);
+      }
+      visit(slot.rows[0], static_cast<double>(total), kCountUnit);
+      visit(slot.rows[1], slot.Quantile(total, 0.50), slot.unit);
+      visit(slot.rows[2], slot.Quantile(total, 0.99), slot.unit);
+      visit(slot.rows[3], slot.Quantile(total, 1.0), slot.unit);
+    }
+    for (const LatencySlot& slot : latencies_) {
+      // The snapshot is a ~5.8 KB stack object: no heap traffic on the walk.
+      LatencySnapshot snap;
+      LatencyHistogram(slot.cells.get()).SnapshotInto(&snap);
+      visit(slot.rows[0], static_cast<double>(snap.total), kCountUnit);
+      visit(slot.rows[1], static_cast<double>(snap.Quantile(0.50)), slot.unit);
+      visit(slot.rows[2], static_cast<double>(snap.Quantile(0.90)), slot.unit);
+      visit(slot.rows[3], static_cast<double>(snap.Quantile(0.99)), slot.unit);
+      visit(slot.rows[4], static_cast<double>(snap.Quantile(0.999)), slot.unit);
+      visit(slot.rows[5], static_cast<double>(snap.max), slot.unit);
+    }
+    for (const ProbeSlot& slot : probes_) {
+      visit(slot.name, slot.probe(), slot.unit);
+    }
+  }
 
   // Copies the named latency histogram's cells into `out`. Returns false (and
   // leaves `out` cleared) when no such histogram is registered.
@@ -321,6 +351,8 @@ class MetricRegistry {
     std::string unit;
     std::function<double()> probe;
   };
+
+  static inline const std::string kCountUnit = "count";
 
   // Deques: element addresses are stable across growth, which is what keeps
   // previously handed-out handles valid.

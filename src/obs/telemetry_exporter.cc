@@ -1,7 +1,5 @@
 #include "src/obs/telemetry_exporter.h"
 
-#include <cstdio>
-
 #include "src/base/json_util.h"
 #include "src/base/log.h"
 #include "src/obs/watchdog.h"
@@ -41,19 +39,6 @@ void TelemetryExporter::Stop() {
   periodic_ = EventHandle{};
 }
 
-void TelemetryExporter::OnSample(const std::string& name, double value,
-                                 const std::string& /*unit*/) {
-  std::string& line = *render_line_;
-  // First sample opens the outer array and its own pair; later ones just
-  // their pair.
-  line += render_first_ ? "[[" : ",[";
-  render_first_ = false;
-  AppendJsonString(line, name);
-  line += ',';
-  AppendJsonNumber(line, value);
-  line += ']';
-}
-
 const std::string& TelemetryExporter::SampleNow() {
   std::string& line = ring_[sequence_ % ring_.size()];
   line.clear();
@@ -75,15 +60,18 @@ const std::string& TelemetryExporter::SampleNow() {
       AppendJsonString(line, watchdog_->rule(i).name);
     }
   }
-  line += "],\"metrics\":";
-  render_line_ = &line;
-  render_first_ = true;
-  registry_->VisitSamples(*this);
-  if (render_first_) {
-    line += "[";  // no samples at all: keep the array well-formed
-  }
+  line += "],\"metrics\":[";
+  const char* open = "[";
+  registry_->VisitSamples([&](const std::string& name, double value,
+                              const std::string& /*unit*/) {
+    line += open;
+    open = ",[";
+    AppendJsonString(line, name);
+    line += ',';
+    AppendJsonNumber(line, value);
+    line += ']';
+  });
   line += "]}";
-  render_line_ = nullptr;
   ++sequence_;
   if (sink_) {
     sink_(line);
@@ -119,20 +107,13 @@ const std::string& TelemetryExporter::RetainedLine(size_t i) const {
 }
 
 bool TelemetryExporter::WriteJsonl(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
+  std::string out = HeaderLine();
+  out += '\n';
+  for (size_t i = 0; i < retained(); ++i) {
+    out += RetainedLine(i);
+    out += '\n';
   }
-  const std::string header = HeaderLine();
-  bool ok = std::fwrite(header.data(), 1, header.size(), file) == header.size();
-  ok = ok && std::fputc('\n', file) != EOF;
-  for (size_t i = 0; ok && i < retained(); ++i) {
-    const std::string& line = RetainedLine(i);
-    ok = std::fwrite(line.data(), 1, line.size(), file) == line.size();
-    ok = ok && std::fputc('\n', file) != EOF;
-  }
-  std::fclose(file);
-  return ok;
+  return WriteStringToFile(path, out);
 }
 
 namespace {

@@ -57,11 +57,11 @@ struct TelemetryExporterConfig {
   std::string source = "honeyfarm";
 };
 
-class TelemetryExporter final : private MetricRegistry::SampleVisitor {
+class TelemetryExporter {
  public:
   TelemetryExporter(EventLoop* loop, MetricRegistry* registry,
                     TelemetryExporterConfig config = {});
-  ~TelemetryExporter() override;
+  ~TelemetryExporter();
   TelemetryExporter(const TelemetryExporter&) = delete;
   TelemetryExporter& operator=(const TelemetryExporter&) = delete;
 
@@ -98,9 +98,6 @@ class TelemetryExporter final : private MetricRegistry::SampleVisitor {
   const TelemetryExporterConfig& config() const { return config_; }
 
  private:
-  void OnSample(const std::string& name, double value,
-                const std::string& unit) override;
-
   EventLoop* loop_;
   MetricRegistry* registry_;
   TelemetryExporterConfig config_;
@@ -110,9 +107,6 @@ class TelemetryExporter final : private MetricRegistry::SampleVisitor {
   uint64_t sequence_ = 0;
   bool running_ = false;
   EventHandle periodic_;
-  // Render state for the visitor callback during SampleNow.
-  std::string* render_line_ = nullptr;
-  bool render_first_ = false;
 };
 
 // One-shot Prometheus text-exposition rendering of a health snapshot: every

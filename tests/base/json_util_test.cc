@@ -167,9 +167,9 @@ TEST(JsonWriterTest, GoldenNumbersAndStrings) {
 
 TEST(JsonWriterTest, IntegersAreExactAndFixed3HasThreeDecimals) {
   std::string out;
-  AppendJsonUint(out, (uint64_t{1} << 53) + 1);  // not representable as double
+  AppendJsonInt(out, (uint64_t{1} << 53) + 1);  // not representable as double
   out += ' ';
-  AppendJsonUint(out, std::numeric_limits<uint64_t>::max());
+  AppendJsonInt(out, std::numeric_limits<uint64_t>::max());
   out += ' ';
   AppendJsonInt(out, std::numeric_limits<int64_t>::min());
   out += ' ';

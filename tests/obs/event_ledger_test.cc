@@ -268,7 +268,8 @@ TEST(EventLedgerTest, LogHookPreservesStderrOrdering) {
 // these renderings may only change on purpose.
 TEST(EventLedgerTest, GoldenJsonLinesBytes) {
   static const char kFile[] = "src/obs/golden_site.cc";
-  const uint64_t site = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(kFile));
+  const uint64_t site =
+      static_cast<uint64_t>(reinterpret_cast<uintptr_t>(kFile));
   EventLedger ledger(2);
   ledger.Append(LedgerEvent::kFirstContact, 3, 2000, 167837697, 167837698);
   ledger.Append(LedgerEvent::kLogWarning, kNoSession, -1500, site, 42);

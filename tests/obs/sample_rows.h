@@ -11,17 +11,12 @@ namespace potemkin {
 
 inline std::vector<MetricRegistry::Sample> SampleRows(
     const MetricRegistry& registry) {
-  class Rows final : public MetricRegistry::SampleVisitor {
-   public:
-    void OnSample(const std::string& name, double value,
-                  const std::string& unit) override {
-      rows.push_back({name, value, unit});
-    }
-    std::vector<MetricRegistry::Sample> rows;
-  };
-  Rows visitor;
-  registry.VisitSamples(visitor);
-  return visitor.rows;
+  std::vector<MetricRegistry::Sample> rows;
+  registry.VisitSamples(
+      [&rows](const std::string& name, double value, const std::string& unit) {
+        rows.push_back({name, value, unit});
+      });
+  return rows;
 }
 
 }  // namespace potemkin

@@ -316,7 +316,8 @@ int PrintSummary(Honeyfarm& farm) {
   }
   const std::string partial_note =
       partial > 0 ? StrFormat(", %zu partial", partial) : "";
-  std::printf("%zu sessions (%zu shown%s), %llu ledger records (%llu evicted)\n",
+  std::printf("%zu sessions (%zu shown%s), %llu ledger records "
+              "(%llu evicted)\n",
               order.size(), show, partial_note.c_str(),
               static_cast<unsigned long long>(ledger.appended()),
               static_cast<unsigned long long>(ledger.dropped()));
